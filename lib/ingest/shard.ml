@@ -92,9 +92,21 @@ module Pool = struct
     mutable gen : int;  (* bumped per broadcast *)
     mutable tasks : (unit -> unit) array;
     mutable remaining : int;
+    mutable failure : (exn * Printexc.raw_backtrace) option;
+        (* first exception a worker's thunk raised this round *)
     mutable quit : bool;
     mutable domains : unit Domain.t array;
   }
+
+  (* Run one thunk, turning an exception into a value: a thunk that
+     raised must still reach the barrier, or [run] would wait forever.
+     Allocates only on failure. *)
+  let attempt tasks i =
+    if i >= Array.length tasks then None
+    else
+      match tasks.(i) () with
+      | () -> None
+      | exception e -> Some (e, Printexc.get_raw_backtrace ())
 
   let worker p slot () =
     let seen = ref 0 in
@@ -112,9 +124,9 @@ module Pool = struct
         seen := p.gen;
         let tasks = p.tasks in
         Mutex.unlock p.m;
-        let slot_task = slot + 1 in
-        if slot_task < Array.length tasks then tasks.(slot_task) ();
+        let failed = attempt tasks (slot + 1) in
         Mutex.lock p.m;
+        if Option.is_none p.failure then p.failure <- failed;
         p.remaining <- p.remaining - 1;
         if p.remaining = 0 then Condition.signal p.done_cv;
         Mutex.unlock p.m
@@ -130,6 +142,7 @@ module Pool = struct
         gen = 0;
         tasks = [||];
         remaining = 0;
+        failure = None;
         quit = false;
         domains = [||];
       }
@@ -147,12 +160,17 @@ module Pool = struct
     p.remaining <- workers;
     Condition.broadcast p.work_cv;
     Mutex.unlock p.m;
-    if Array.length tasks > 0 then tasks.(0) ();
+    let failed = attempt tasks 0 in
     Mutex.lock p.m;
     while p.remaining > 0 do
       Condition.wait p.done_cv p.m
     done;
-    Mutex.unlock p.m
+    let failed = if Option.is_none failed then p.failure else failed in
+    p.failure <- None;
+    Mutex.unlock p.m;
+    match failed with
+    | None -> ()
+    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
 
   let shutdown p =
     Mutex.lock p.m;

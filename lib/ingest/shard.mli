@@ -79,7 +79,10 @@ module Pool : sig
   val run : pool -> (unit -> unit) array -> unit
   (** Execute [thunks.(1..)] on the workers and [thunks.(0)] on the
       calling domain; barrier on completion.  The array must have at
-      most [workers + 1] elements. *)
+      most [workers + 1] elements.  If thunks raise, every other thunk
+      still runs to completion and [run] re-raises one of the
+      exceptions (thunk 0's if it raised, else the first a worker
+      recorded) after the barrier; the pool stays usable. *)
 
   val shutdown : pool -> unit
   (** Join every domain.  Idempotent. *)

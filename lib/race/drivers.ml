@@ -91,87 +91,116 @@ let detect_serial_releasing pt =
   }
 
 (* ------------------------------------------------------------------ *)
-(* The fully packed pipeline: arena parse tree + fused English/Hebrew
-   SP-order + packed shadow cells, all pre-sized at [create] and rewound
-   in place by [run].  A steady-state [run] — rebuild the tree, replay
-   the fork/join walk, issue every access and SP query — performs zero
-   minor-heap allocation on a race-free program (recording a race
-   pushes a report record); [regress --alloc-gate --e2e] pins this. *)
+(* The fully packed pipeline: a direct serial walk of the program's
+   canonical parse tree + fused English/Hebrew SP-order + packed shadow
+   cells, all pre-sized at [create] and rewound in place by [run].
+
+   The walk never materializes the tree.  It follows {!Prog_tree}'s
+   shape — a [Spawn] is P(child procedure, rest of the block), a
+   non-last [Run] is S(thread, rest of the block), a block ending in a
+   spawn gets a synthetic continuation leaf, sync blocks S-compose left
+   to right — and issues one [enter] per internal node in the same
+   pre-order, left-first sequence as {!Spr_sptree.Sp_tree.iter_events}.
+   Node ids are handed out as the walk discovers them (root 0), so a
+   node's id exists when its parent's Enter names it.  A steady-state
+   [run] performs zero minor-heap allocation on a race-free program
+   (recording a race pushes a report record); [regress --alloc-gate
+   --e2e] pins this. *)
 module Fused = struct
+  module Spf = Spr_core.Sp_order_fused
+
   type t = {
     program : Fj_program.t;
-    threads : Fj_program.thread array;
-    pa : Prog_arena.t;
-    sp : Spr_core.Sp_order_fused.t;
+    sp : Spf.t;
     det : Detector.t;
-    (* Persistent walk stack (node ids); Sp_arena.iter allocates its
-       own scratch, which would show up in the gate. *)
-    mutable stack : int array;
+    nodes : int;  (* canonical parse-tree node count *)
+    leaf_of_tid : int array;  (* tid -> node id of its leaf *)
+    mutable next : int;  (* next undiscovered node id *)
   }
 
+  (* Leaves of the canonical tree: one per thread plus one synthetic
+     leaf per block that ends in a spawn. *)
+  let rec synthetic_leaves (p : Fj_program.proc) =
+    let ends_in_spawn blk =
+      match blk.(Array.length blk - 1) with Fj_program.Spawn _ -> 1 | Fj_program.Run _ -> 0
+    in
+    let in_item acc = function
+      | Fj_program.Run _ -> acc
+      | Fj_program.Spawn f -> acc + synthetic_leaves f
+    in
+    Array.fold_left
+      (fun acc blk -> Array.fold_left in_item (acc + ends_in_spawn blk) blk)
+      0 p.Fj_program.blocks
+
   let create program =
-    let pa = Prog_arena.of_program program in
-    let sp = Spr_core.Sp_order_fused.create_raw () in
-    Spr_core.Sp_order_fused.reset sp ~nodes:(Prog_arena.node_slots pa)
-      ~root:(Prog_arena.root pa);
+    let leaves =
+      Fj_program.thread_count program + synthetic_leaves (Fj_program.main program)
+    in
+    let sp = Spf.create_raw () in
+    let leaf_of_tid = Array.make (Fj_program.thread_count program) 0 in
     let precedes ~executed ~current =
-      Spr_core.Sp_order_fused.precedes_id sp
-        (Prog_arena.leaf_of_thread pa executed)
-        (Prog_arena.leaf_of_thread pa current)
+      Spf.precedes_id sp leaf_of_tid.(executed) leaf_of_tid.(current)
     in
     let det = Detector.create ~locs:(Detector.max_loc program + 1) ~precedes () in
-    {
-      program;
-      threads = Fj_program.threads program;
-      pa;
-      sp;
-      det;
-      stack = Array.make 64 0;
-    }
+    let nodes = (2 * leaves) - 1 in
+    Spf.reset sp ~nodes ~root:0;
+    { program; sp; det; nodes; leaf_of_tid; next = 1 }
 
-  let run t =
-    Prog_arena.build t.pa t.program;
-    Spr_core.Sp_order_fused.reset t.sp ~nodes:(Prog_arena.node_slots t.pa)
-      ~root:(Prog_arena.root t.pa);
-    Detector.reset t.det;
-    let arena = Prog_arena.arena t.pa in
-    let sp_top = ref 0 in
-    (if Array.length t.stack = 0 then t.stack <- Array.make 64 0);
-    t.stack.(0) <- Prog_arena.root t.pa;
-    incr sp_top;
-    while !sp_top > 0 do
-      decr sp_top;
-      let n = t.stack.(!sp_top) in
-      if Spr_sptree.Sp_arena.is_leaf arena n then begin
-        let tid = Prog_arena.thread_of_leaf t.pa n in
-        if tid >= 0 then begin
-          (* Inline thread run: Detector.run_thread's sink/metrics
-             bookkeeping is dead weight here. *)
-          let u = t.threads.(tid) in
-          let accs = u.Fj_program.accesses in
-          for i = 0 to Array.length accs - 1 do
-            Detector.access t.det ~current:tid accs.(i)
-          done
-        end
-      end
-      else begin
-        let left = Spr_sptree.Sp_arena.left_of arena n in
-        let right = Spr_sptree.Sp_arena.right_of arena n in
-        Spr_core.Sp_order_fused.enter t.sp ~parent:n ~left ~right
-          ~parallel:(Spr_sptree.Sp_arena.kind_of arena n = Spr_sptree.Sp_arena.Parallel);
-        (if !sp_top + 2 > Array.length t.stack then begin
-           let b = Array.make (2 * Array.length t.stack) 0 in
-           Array.blit t.stack 0 b 0 !sp_top;
-           t.stack <- b
-         end);
-        (* left walked first: push right below it. *)
-        t.stack.(!sp_top) <- right;
-        t.stack.(!sp_top + 1) <- left;
-        sp_top := !sp_top + 2
-      end
+  (* Enter internal node [id]; its children get the next two ids. *)
+  let enter t id ~parallel =
+    let left = t.next in
+    t.next <- left + 2;
+    Spf.enter t.sp ~parent:id ~left ~right:(left + 1) ~parallel;
+    left
+
+  (* Inline thread run: Detector.run_thread's sink/metrics bookkeeping
+     is dead weight here. *)
+  let run_thread t (u : Fj_program.thread) leaf =
+    let tid = u.Fj_program.tid in
+    t.leaf_of_tid.(tid) <- leaf;
+    let accs = u.Fj_program.accesses in
+    for i = 0 to Array.length accs - 1 do
+      Detector.access t.det ~current:tid accs.(i)
     done
 
+  (* Top-level recursion with explicit arguments: nested closures would
+     allocate on every run. *)
+  let rec walk_proc t (p : Fj_program.proc) id = walk_blocks t p.Fj_program.blocks 0 id
+
+  and walk_blocks t blocks bi id =
+    if bi = Array.length blocks - 1 then walk_items t blocks.(bi) 0 id
+    else begin
+      let left = enter t id ~parallel:false in
+      walk_items t blocks.(bi) 0 left;
+      walk_blocks t blocks (bi + 1) (left + 1)
+    end
+
+  (* Past the end is the synthetic leaf of a block ending in a spawn:
+     nothing runs there. *)
+  and walk_items t blk i id =
+    if i < Array.length blk then
+      match blk.(i) with
+      | Fj_program.Run u ->
+          if i = Array.length blk - 1 then run_thread t u id
+          else begin
+            let left = enter t id ~parallel:false in
+            run_thread t u left;
+            walk_items t blk (i + 1) (left + 1)
+          end
+      | Fj_program.Spawn f ->
+          let left = enter t id ~parallel:true in
+          walk_proc t f left;
+          walk_items t blk (i + 1) (left + 1)
+
+  let run t =
+    Spf.reset t.sp ~nodes:t.nodes ~root:0;
+    Detector.reset t.det;
+    t.next <- 1;
+    walk_proc t (Fj_program.main t.program) 0
+
   let detector t = t.det
+
+  let order t = t.sp
 
   let result t =
     {

@@ -38,15 +38,18 @@ val detect_serial_releasing : Spr_prog.Prog_tree.t -> releasing_result
     live frontier, not the whole execution history.  Race reports are
     identical to the non-releasing run. *)
 
-(** The fully packed serial pipeline: arena parse tree
-    ({!Spr_prog.Prog_arena}) + fused English/Hebrew SP-order
-    ({!Spr_core.Sp_order_fused}) + packed shadow cells, created once
+(** The fully packed serial pipeline: a direct walk of the program's
+    canonical parse tree (the {!Spr_prog.Prog_tree} shape, never
+    materialized) driving fused English/Hebrew SP-order
+    ({!Spr_core.Sp_order_fused}) and packed shadow cells, created once
     and rewound in place per run.  A steady-state {!Fused.run} —
-    rebuild tree, replay the fork/join walk, issue every access and SP
-    query — allocates zero minor words on a race-free program
-    (recording a race allocates its report); [regress --alloc-gate
-    --e2e] pins this, and the test suite pins answer equality with
-    {!detect_serial}. *)
+    replay the fork/join walk, issue every access and SP query —
+    allocates zero minor words on a race-free program (recording a
+    race allocates its report); [regress --alloc-gate --e2e] pins
+    this, and the test suite pins answer equality with
+    {!detect_serial} and OM-operation equality with a
+    {!Spr_core.Driver.run} of [sp-order-fused] over the
+    {!Spr_prog.Prog_tree}. *)
 module Fused : sig
   type t
 
@@ -59,6 +62,11 @@ module Fused : sig
       each run rewinds and replays. *)
 
   val detector : t -> Detector.t
+
+  val order : t -> Spr_core.Sp_order_fused.t
+  (** The SP-order structure the last run built, for inspection (e.g.
+      {!Spr_om.Om_fused.stats_eng} via {!Spr_core.Sp_order_fused.om});
+      the next {!run} rewinds it. *)
 
   val result : t -> serial_result
   (** Snapshot of the last run (allocates; call outside any probed

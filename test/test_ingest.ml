@@ -308,6 +308,46 @@ let controlled_handoff () =
   done
 
 (* ------------------------------------------------------------------ *)
+(* Shard.Pool faults: a raising thunk — on a worker or on the
+   coordinator — makes [run] raise after every other thunk finished,
+   never hang, and the pool keeps working.                             *)
+
+exception Planted of int
+
+let pool_survives_raising_thunks () =
+  let pool = Spr_ingest.Shard.Pool.create ~workers:2 in
+  let ran = Array.init 3 (fun _ -> Atomic.make 0) in
+  let good i () = Atomic.incr ran.(i) in
+  let expect_planted ctx slot thunks =
+    match Spr_ingest.Shard.Pool.run pool thunks with
+    | () -> Alcotest.failf "%s: run returned although thunk %d raised" ctx slot
+    | exception Planted s -> Alcotest.(check int) (ctx ^ ": raised by") slot s
+  in
+  (* A worker slot raises: the coordinator still reaches the barrier. *)
+  expect_planted "worker" 1 [| good 0; (fun () -> raise (Planted 1)); good 2 |];
+  Alcotest.(check (list int)) "others ran" [ 1; 0; 1 ] (Array.to_list (Array.map Atomic.get ran));
+  (* The coordinator's slot raises while a worker is still busy: run
+     must not return before that worker is done. *)
+  let started = Atomic.make false and finished = Atomic.make false in
+  let slow () =
+    while not (Atomic.get started) do
+      Domain.cpu_relax ()
+    done;
+    for _ = 1 to 200_000 do
+      Domain.cpu_relax ()
+    done;
+    Atomic.set finished true
+  in
+  expect_planted "coordinator" 0
+    [| (fun () -> Atomic.set started true; raise (Planted 0)); slow; good 2 |];
+  Alcotest.(check bool) "worker finished before run raised" true (Atomic.get finished);
+  (* Healthy round afterwards, then a clean join. *)
+  Spr_ingest.Shard.Pool.run pool [| good 0; good 1; good 2 |];
+  Alcotest.(check (list int)) "pool still works" [ 2; 1; 3 ]
+    (Array.to_list (Array.map Atomic.get ran));
+  Spr_ingest.Shard.Pool.shutdown pool
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "spr_ingest"
@@ -325,6 +365,7 @@ let () =
         [
           Alcotest.test_case "registry differential" `Quick sharded_matches_serial;
           Alcotest.test_case "controlled hand-off" `Quick controlled_handoff;
+          Alcotest.test_case "pool survives raising thunks" `Quick pool_survives_raising_thunks;
           QCheck_alcotest.to_alcotest sharded_random_matches_serial;
         ] );
       ( "resident",

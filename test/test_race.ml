@@ -281,19 +281,22 @@ let releasing_matches_naive =
       = Spr_race.Naive_checker.racy_locs pt)
 
 (* ------------------------------------------------------------------ *)
-(* Fused zero-allocation pipeline (arena tree + Om_fused + packed
-   shadow cells): identical verdicts and query counts to the boxed
+(* Fused zero-allocation pipeline (direct canonical walk + Om_fused +
+   packed shadow cells): identical verdicts and query counts to the boxed
    detect_serial with sp-order, including across repeated in-place
    reruns of one pipeline instance.                                    *)
 
+let fused_gen = QCheck2.Gen.(pair (0 -- 1_000_000) (2 -- 60))
+
+let fused_prog (seed, threads) =
+  W.random_prog ~rng:(Rng.create seed) ~threads ~spawn_prob:0.5 ~locs:8 ~accesses_per_thread:4
+    ()
+
 let fused_matches_serial =
   QCheck2.Test.make ~count:120 ~name:"fused pipeline = boxed detect_serial (races + queries)"
-    QCheck2.Gen.(pair (0 -- 1_000_000) (2 -- 60))
-    (fun (seed, threads) ->
-      let p =
-        W.random_prog ~rng:(Rng.create seed) ~threads ~spawn_prob:0.5 ~locs:8
-          ~accesses_per_thread:4 ()
-      in
+    fused_gen
+    (fun st ->
+      let p = fused_prog st in
       let pt = Prog_tree.of_program p in
       let boxed = Spr_race.Drivers.detect_serial pt Spr_core.Algorithms.sp_order in
       let fused = Spr_race.Drivers.detect_serial_fused p in
@@ -303,7 +306,7 @@ let fused_matches_serial =
 
 let fused_rerun_deterministic () =
   (* One pipeline instance, rewound in place: every rerun must
-     reproduce the first run exactly (reset correctness of the arena,
+     reproduce the first run exactly (reset correctness of the walk,
      the fused OM and the packed detector). *)
   List.iter
     (fun buggy ->
@@ -321,6 +324,44 @@ let fused_rerun_deterministic () =
       Alcotest.(check (list int))
         "matches boxed" boxed.Spr_race.Drivers.racy_locs first.Spr_race.Drivers.racy_locs)
     [ false; true ]
+
+(* The walk's shape, not only its answers: a walk over a differently
+   shaped tree can return the same verdicts while doing more OM work.
+   Fused.run must issue exactly the inserts — hence exactly the
+   relabel passes — of Driver.run with sp-order-fused over the
+   program's canonical Prog_tree, in both orders. *)
+let om_work sp =
+  let om = Spr_core.Sp_order_fused.om sp in
+  let e = Spr_om.Om_fused.stats_eng om and h = Spr_om.Om_fused.stats_heb om in
+  Spr_om.Om_intf.[ e.inserts; e.relabel_passes; h.inserts; h.relabel_passes ]
+
+let fused_and_tree_om_work p =
+  let t = Spr_race.Drivers.Fused.create p in
+  Spr_race.Drivers.Fused.run t;
+  let tree = Prog_tree.tree (Prog_tree.of_program p) in
+  let sp = Spr_core.Sp_order_fused.create tree in
+  Spr_core.Driver.run tree
+    (Spr_core.Sp_maintainer.Instance ((module Spr_core.Sp_order_fused), sp));
+  (om_work (Spr_race.Drivers.Fused.order t), om_work sp)
+
+let fused_shape_registry () =
+  let relabels = ref 0 in
+  List.iter
+    (fun (name, gen) ->
+      for seed = 0 to 3 do
+        let fused, tree = fused_and_tree_om_work (gen ~size:16 ~seed) in
+        Alcotest.(check (list int)) (Printf.sprintf "%s seed %d" name seed) tree fused;
+        relabels := !relabels + List.nth fused 1
+      done)
+    W.named;
+  Alcotest.(check bool) "relabel passes exercised" true (!relabels > 0)
+
+let fused_shape_random =
+  QCheck2.Test.make ~count:120 ~name:"fused walk = Prog_tree walk (OM inserts + relabels)"
+    fused_gen
+    (fun st ->
+      let fused, tree = fused_and_tree_om_work (fused_prog st) in
+      fused = tree)
 
 (* Corollary 6 bookkeeping: O(1) queries per access. *)
 let query_budget () =
@@ -346,6 +387,8 @@ let () =
           Alcotest.test_case "release protocol" `Quick releasing_matches_plain;
           Alcotest.test_case "fused pipeline rerun determinism" `Quick fused_rerun_deterministic;
           QCheck_alcotest.to_alcotest fused_matches_serial;
+          Alcotest.test_case "fused walk shape (registry)" `Quick fused_shape_registry;
+          QCheck_alcotest.to_alcotest fused_shape_random;
           QCheck_alcotest.to_alcotest random_serial_matches_naive;
           QCheck_alcotest.to_alcotest releasing_matches_naive;
         ] );
