@@ -21,13 +21,19 @@
    instead in deep snapshots) and sp-order-fused pays O(1) amortized
    per event throughout.  regress.exe thresholds the committed
    BENCH_hb.json medians; the word counters are deterministic and
-   must match the baseline exactly. *)
+   must match the baseline exactly.  Each (detector, P) time row holds
+   [time_samples] samples, each on a fresh instance, so the gated
+   median is a real median and not one noisy run. *)
 
 open Spr_sptree
 module Sm = Spr_core.Sp_maintainer
 module T = Spr_util.Table
 
 let query_samples = 20_000
+
+let time_samples = 5
+
+let median xs = Spr_util.Stats.quantile (Array.of_list xs) 0.5
 
 (* Fig3-style timing through the registry instance. *)
 let measure_time tree make =
@@ -107,7 +113,8 @@ let family name pattern trees =
     (fun (det, make, words) ->
       List.iter
         (fun (param, tree) ->
-          let c, q = measure_time tree make in
+          let cs, qs = List.split (List.init time_samples (fun _ -> measure_time tree make)) in
+          let c = median cs and q = median qs in
           let w = Option.map (fun f -> f tree) words in
           let joined = match w with Some w -> float_of_int w.joined | None -> 0.0 in
           (match Hashtbl.find_opt growth det with
@@ -124,8 +131,8 @@ let family name pattern trees =
               (match w with Some w -> Printf.sprintf "%.1f" w.label | None -> "-");
             ];
           let add = Bench_json.add ~experiment:"hb" ~backend:det ~pattern ~n:param in
-          add ~metric:"ns_per_thread" ~kind:Bench_json.Time [ c ];
-          add ~metric:"ns_per_query" ~kind:Bench_json.Time [ q ];
+          add ~metric:"ns_per_thread" ~kind:Bench_json.Time cs;
+          add ~metric:"ns_per_query" ~kind:Bench_json.Time qs;
           match w with
           | None -> ()
           | Some w ->

@@ -176,10 +176,11 @@ let emit_json_fused () =
 
 (* The sp-order insert/query mix the fused backend's acceptance
    criterion is stated over: one full fork/join walk of a balanced
-   n-leaf tree (a child-pair insertion into both orders per internal
-   node) plus a random-leaf-pair query sweep, through the uniform
-   maintainer interface — boxed sp-order vs sp-order-fused on
-   identical work. *)
+   n-leaf tree (one Enter per internal node: a child-pair insertion
+   into both orders for sp-order, one fresh element for
+   sp-order-fused) plus a random-leaf-pair query sweep, through the
+   uniform maintainer interface — the same walk and queries for
+   both. *)
 let spmix_queries = 200_000
 
 let spmix_run make tree =
@@ -360,9 +361,9 @@ let attribution structures n =
     let r_q = Probe.region "om/om-fused/query" in
     Probe.span r_ins (fun () ->
         for i = 1 to ops do
-          let lr = F.insert_children_packed t elts.(0) ~parallel:(i land 1 = 0) in
-          elts.(!len) <- F.packed_left lr;
-          elts.(!len + 1) <- F.packed_right lr;
+          let l, r = F.insert_children t elts.(0) ~parallel:(i land 1 = 0) in
+          elts.(!len) <- l;
+          elts.(!len + 1) <- r;
           len := !len + 2
         done);
     let pairs =

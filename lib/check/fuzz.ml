@@ -55,7 +55,7 @@ let default_sp_pairs =
     ( ("sp-depa", Spr_core.Algorithms.sp_depa),
       ("sp-order", Spr_core.Algorithms.sp_order) );
     (* The fused backend reimplements the OM substrate (interleaved
-       planes, shared slots, packed child-pair insert), so pin it
+       planes, shared slots, one fresh element per Enter), so pin it
        answer-for-answer to the boxed reference. *)
     ( ("sp-order-fused", Spr_core.Algorithms.sp_order_fused),
       ("sp-order", Spr_core.Algorithms.sp_order) );

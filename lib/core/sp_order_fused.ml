@@ -2,9 +2,13 @@
 
    Same Figure 5 algorithm as {!Sp_order}, but the two orders live in
    one {!Spr_om.Om_fused} and a node's position in both is one [int]
-   handle, so Enter is one fused child-pair insertion (no option boxes,
-   no tuples) and a query reads both labels of both operands from two
-   interleaved records.  The raw-id API ([enter]/[precedes_id]/
+   handle, and a query reads both labels of both operands from two
+   interleaved records.  Every query compares two threads (Corollary 2
+   is only ever asked about leaves), so an entered node's own position
+   is dead: Enter hands the parent's element to its left child and
+   inserts one fresh element, for the right child — half the plane
+   inserts of Figure 5's two-child splice, with the same answers on
+   threads.  The raw-id API ([enter]/[precedes_id]/
    [parallel_id]) plus [reset] is what the zero-allocation end-to-end
    pipeline in {!Spr_race.Drivers} drives; the {!Spr_core.Sp_maintainer.S}
    surface on top is for the registry, Figure-3 tables and
@@ -44,12 +48,15 @@ let elt t id =
   if e = unset then invalid_arg "Sp_order_fused: node not discovered (or released)";
   e
 
-(* Lines 4-7 of Figure 5, fused: both orders updated by one packed
-   child-pair insertion.  Raw ids; allocation-free. *)
+(* Lines 4-7 of Figure 5 with one fresh element per Enter: the left
+   child takes over the parent's slot, which already sits exactly where
+   the left child belongs in both orders (the parent is never queried
+   again), and the right child is placed after it in English and after
+   (S) or before (P) it in Hebrew.  Raw ids; allocation-free. *)
 let enter t ~parent ~left ~right ~parallel =
-  let lr = Om_fused.insert_children_packed t.om (elt t parent) ~parallel in
-  t.elt_of.(left) <- Om_fused.packed_left lr;
-  t.elt_of.(right) <- Om_fused.packed_right lr
+  let x = elt t parent in
+  t.elt_of.(left) <- x;
+  t.elt_of.(right) <- Om_fused.insert_right t.om x ~parallel
 
 let on_event t ev =
   match ev with
@@ -73,10 +80,11 @@ let parallel t (x : Sp_tree.node) (y : Sp_tree.node) = parallel_id t x.id y.id
 
 let requires_current_operand = false
 
-let leaves_only = false
+let leaves_only = true
 
 (* One fused element per node covers both orders — half of {!Sp_order}'s
-   two-handles row in the Figure 3 space column. *)
+   two-handles row in the Figure 3 space column (and only the threads
+   and undiscovered frontier hold one). *)
 let avg_label_words _ = 1.0
 
 let om_size t = Om_fused.size t.om

@@ -1,13 +1,17 @@
 (** SP-order over the fused packed English/Hebrew structure
     ({!Spr_om.Om_fused}).
 
-    Behaviourally identical to {!Sp_order} — Figure 5's algorithm with
-    Corollary 2 queries — but a node's position in {e both} orders is a
-    single [int] handle into one struct-of-arrays, so Enter performs
-    one fused allocation-free child-pair insertion and a query touches
-    two interleaved records instead of four boxed elements across two
-    structures.  Cross-validated pairwise against [sp-order] by
-    [Sp_check.check_pair] / [Fuzz.sp_pairs].
+    Answers thread queries identically to {!Sp_order} — Figure 5's
+    algorithm with Corollary 2 queries — but a node's position in
+    {e both} orders is a single [int] handle into one struct-of-arrays,
+    and Enter inserts one fresh element, not two: the left child takes
+    over the parent's element and only the right child is inserted.
+    The parent's own position is therefore gone after its Enter, so
+    queries are answered on leaves only ([leaves_only = true]).  A
+    query touches two interleaved records instead of four boxed
+    elements across two structures.  Cross-validated pairwise against
+    [sp-order] by [Sp_check.check_pair] / [Fuzz.sp_pairs], including
+    out-of-order unfoldings.
 
     Besides the standard {!Spr_core.Sp_maintainer.S} surface, this
     module exposes a raw-node-id API ([enter] / [precedes_id] /
@@ -28,8 +32,10 @@ val reset : t -> nodes:int -> root:int -> unit
     allocate nothing. *)
 
 val enter : t -> parent:int -> left:int -> right:int -> parallel:bool -> unit
-(** Raw-id Enter (Figure 5 lines 4-7): splice [left]/[right] after
-    [parent] in both orders, Hebrew-flipped when [parallel].
+(** Raw-id Enter (Figure 5 lines 4-7) with one fresh element: [left]
+    takes over [parent]'s element, and [right] is inserted after it in
+    English and after (S-node) or before ([parallel]) it in Hebrew.
+    [parent] must not be queried or released afterwards.
     Allocation-free.
     @raise Invalid_argument if [parent] is undiscovered. *)
 
@@ -39,8 +45,9 @@ val precedes_id : t -> int -> int -> bool
 val parallel_id : t -> int -> int -> bool
 
 val release : t -> Spr_sptree.Sp_tree.node -> unit
-(** Delete a node from both orders and recycle its slot; the structure
-    stays proportional to the live frontier. *)
+(** Delete a leaf from both orders and recycle its slot; the structure
+    stays proportional to the live frontier.  Leaves only: an entered
+    node's element belongs to its left child. *)
 
 val om_size : t -> int
 (** Live elements in the fused structure. *)

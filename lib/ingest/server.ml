@@ -220,10 +220,15 @@ let check_access t loc =
   if loc < 0 || loc >= t.p_locs then
     corrupt_here t "access location %d out of range (header declared %d)" loc t.p_locs
 
+(* A drain that raises (re-raised by [Shard.Pool.run] after the
+   barrier, or by a custom runner) becomes a [Corrupt] located at this
+   flush, so [run_string] reports it as an [Error] and the next
+   [start_program] re-prepares every shard. *)
 let flush t =
   Hook.yield ~layer:"ingest" ~name:"flush-publish" ();
   t.a_flushes <- t.a_flushes + 1;
-  t.run_tasks t.tasks;
+  (try t.run_tasks t.tasks
+   with e -> corrupt_here t "shard drain failed: %s" (Printexc.to_string e));
   Hook.yield ~layer:"ingest" ~name:"flush-join" ()
 
 let record_access t ~loc ~write =

@@ -70,7 +70,9 @@ val run_string : ?collect:bool -> t -> string -> (program_result list, Codec.err
     materialized (throughput mode; totals still accumulate in
     {!stats}).  Any malformed input yields [Error] — never an
     exception, never a partial result — and leaves the server ready
-    for the next trace.  Publishes [ingest/*] counters to
+    for the next trace.  So does a shard drain that raises: the
+    [Error] is located at the flush and its message starts with
+    ["shard drain failed: "].  Publishes [ingest/*] counters to
     {!Spr_obs.Sharded.default}, including per-shard
     [ingest/shard<i>/accesses]. *)
 
@@ -82,7 +84,7 @@ val drive : t -> string -> unit
 (** The allocation-gate entry: {!run_string} with no result
     collection, no counter publication and no [result] boxing — a
     steady-state call allocates zero minor words on a race-free trace.
-    @raise Codec.Corrupt on malformed input. *)
+    @raise Codec.Corrupt on malformed input or a failed shard drain. *)
 
 val stats : t -> stats
 

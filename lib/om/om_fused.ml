@@ -19,14 +19,16 @@
    {!Om}/{!Om_packed}: items grouped into buckets of at most [capacity],
    bucket order kept by one-level list labeling over the 60-bit tag
    universe, items inside a bucket carrying evenly spread local tags.
-   The per-plane operation sequences are the ones {!Sp_order} issues
-   against two separate structures, so the relabel counters are
-   bit-identical to running a boxed English {!Om} and Hebrew {!Om} side
-   by side (pinned by qcheck).  Item slots are shared between the
-   planes and recycled through one intrusive free list; the insert,
-   query and delete paths allocate nothing, and {!reset} rewinds to the
-   single base element without releasing any array — the property the
-   end-to-end alloc-gate leans on. *)
+   {!insert_children} issues, per plane, exactly the sequence
+   {!Sp_order} issues against two separate structures, and
+   {!insert_right} exactly one [insert_after] (English; Hebrew at
+   S-nodes) or [insert_before] (Hebrew at P-nodes), so the relabel
+   counters are bit-identical to running a boxed English {!Om} and
+   Hebrew {!Om} side by side (pinned by qcheck).  Item slots are shared
+   between the planes and recycled through one intrusive free list;
+   {!insert_right}, query and delete allocate nothing, and {!reset}
+   rewinds to the single base element without releasing any array — the
+   property the end-to-end alloc-gate leans on. *)
 
 let capacity = 62
 
@@ -352,6 +354,35 @@ let link_after t p x y =
   p.b_size.(b) <- p.b_size.(b) + 1;
   p.st.Om_intf.inserts <- p.st.Om_intf.inserts + 1
 
+(* Link the (already allocated) slot [y] immediately before [x] in
+   plane [p] — {!Om_packed.insert_before} with the slot allocation
+   factored out.  When [x] has a predecessor in its bucket this is a
+   [link_after] that predecessor; when [x] heads its bucket, [y] becomes
+   the new head with half of [x]'s tag (split first if the bucket is
+   full, respace first if [x]'s tag leaves no room below it). *)
+let link_before t p x y =
+  let base = p.base in
+  let xr = (x lsl stride_bits) + base in
+  let pv = t.items.(xr + f_prev) in
+  if pv <> nil then link_after t p pv y
+  else begin
+    let bx = t.items.(xr + f_bkt) in
+    if p.b_size.(bx) >= capacity then split t p bx;
+    let items = t.items in
+    let b = items.(xr + f_bkt) in
+    if items.(xr + f_tag) < 1 then respace t p b;
+    assert (items.(xr + f_tag) >= 1);
+    let yr = (y lsl stride_bits) + base in
+    items.(yr + f_tag) <- items.(xr + f_tag) / 2;
+    items.(yr + f_prev) <- nil;
+    items.(yr + f_next) <- x;
+    items.(yr + f_bkt) <- b;
+    items.(xr + f_prev) <- y;
+    p.b_first.(b) <- y;
+    p.b_size.(b) <- p.b_size.(b) + 1;
+    p.st.Om_intf.inserts <- p.st.Om_intf.inserts + 1
+  end
+
 (* ------------------------------------------------------------------ *)
 (* The fused ADT.                                                      *)
 
@@ -359,9 +390,8 @@ let link_after t p x y =
    parse-tree children of [x]) and places them in both orders at once:
    English always [x; left; right]; Hebrew [x; left; right] at S-nodes
    and [x; right; left] at P-nodes (the direction flip that makes
-   Corollary 2 work).  Returned packed as [(left lsl 31) lor right] so
-   the hot path allocates no tuple. *)
-let insert_children_packed t x ~parallel =
+   Corollary 2 work). *)
+let insert_children t x ~parallel =
   check_alive "Om_fused.insert_children" t x;
   let l = alloc_item t in
   let r = alloc_item t in
@@ -378,15 +408,19 @@ let insert_children_packed t x ~parallel =
     link_after t t.heb l r
   end;
   t.size <- t.size + 2;
-  (l lsl 31) lor r
+  (l, r)
 
-let packed_left lr = lr lsr 31
-
-let packed_right lr = lr land 0x7FFFFFFF
-
-let insert_children t x ~parallel =
-  let lr = insert_children_packed t x ~parallel in
-  (packed_left lr, packed_right lr)
+(* [insert_right t x ~parallel]: [x]'s slot stays where it is and stands
+   for the left child from now on; one fresh slot for the right child
+   goes right after it in English, and right after it (S-node) or right
+   before it (P-node) in Hebrew. *)
+let insert_right t x ~parallel =
+  check_alive "Om_fused.insert_right" t x;
+  let r = alloc_item t in
+  link_after t t.eng x r;
+  if parallel then link_before t t.heb x r else link_after t t.heb x r;
+  t.size <- t.size + 1;
+  r
 
 let precedes_plane t p x y =
   let items = t.items in

@@ -12,14 +12,15 @@
 
     Each order runs the identical two-level algorithm as {!Om} /
     {!Om_packed} (capacity-62 buckets, Bender-style top-level
-    relabeling over the 60-bit universe), and the insertion sequences
-    exposed here ({!insert_children}) are exactly those {!Sp_order}
-    issues, so the per-plane relabel counters are bit-identical to
-    running a boxed English {!Om} and Hebrew {!Om} side by side
-    (pinned by qcheck).  Insert, query and delete allocate nothing;
-    {!reset} rewinds to a fresh single-element structure without
-    touching the GC, which is what lets an end-to-end [sp-order-fused]
-    run hold steady at zero minor words. *)
+    relabeling over the 60-bit universe).  {!insert_children} issues
+    exactly the insertion sequence {!Sp_order} issues, and
+    {!insert_right} one [insert_after] per plane (Hebrew:
+    [insert_before] at P-nodes), so the per-plane relabel counters are
+    bit-identical to running a boxed English {!Om} and Hebrew {!Om}
+    side by side (pinned by qcheck).  {!insert_right}, query and delete
+    allocate nothing; {!reset} rewinds to a fresh single-element
+    structure without touching the GC, which is what lets an end-to-end
+    [sp-order-fused] run hold steady at zero minor words. *)
 
 type t
 
@@ -47,18 +48,19 @@ val insert_children : t -> elt -> parallel:bool -> elt * elt
     into both orders: English always [x; left; right]; Hebrew
     [x; left; right] when [parallel] is [false] (S-node) and
     [x; right; left] when [true] (P-node) — the direction flip of the
-    paper's Corollary 2.  Returns [(left, right)].  Allocates the
-    result tuple only; use {!insert_children_packed} on zero-alloc
-    paths.
+    paper's Corollary 2.  Returns [(left, right)], allocating the
+    tuple.
     @raise Invalid_argument if [x] was deleted. *)
 
-val insert_children_packed : t -> elt -> parallel:bool -> int
-(** Allocation-free variant: result is [(left lsl 31) lor right];
-    unpack with {!packed_left} / {!packed_right}. *)
-
-val packed_left : int -> elt
-
-val packed_right : int -> elt
+val insert_right : t -> elt -> parallel:bool -> elt
+(** [insert_right t x ~parallel] is Enter with one fresh element: [x]
+    keeps its slot and from now on stands for the left child, and the
+    returned right child goes right after [x] in English and, in
+    Hebrew, right after [x] at an S-node ([parallel = false]) or right
+    before it at a P-node.  SP-order can do this because it never
+    queries an entered node's own position, only threads'.
+    Allocation-free.
+    @raise Invalid_argument if [x] was deleted. *)
 
 val precedes_eng : t -> elt -> elt -> bool
 (** Strict English order.  O(1), allocation-free.

@@ -347,6 +347,36 @@ let pool_survives_raising_thunks () =
     (Array.to_list (Array.map Atomic.get ran));
   Spr_ingest.Shard.Pool.shutdown pool
 
+(* The server side of the same fault: a drain that raises surfaces as
+   an [Error] located at the flush, and the server's next trace gets
+   exactly the verdicts a fresh server gives. *)
+let drain_fault_is_an_error () =
+  let p = W.random_prog ~rng:(Rng.create 7) ~threads:40 ~locs:8 ~accesses_per_thread:4 () in
+  let trace = Codec.capture [ p ] in
+  let armed = ref true in
+  let runner tasks =
+    if !armed then begin
+      armed := false;
+      raise (Planted 0)
+    end;
+    Array.iter (fun f -> f ()) tasks
+  in
+  let fresh = with_server ~shards:2 ~batch:16 (fun srv -> run_one ~ctx:"fresh" srv trace) in
+  with_server ~shards:2 ~batch:16 ~runner (fun srv ->
+      (match Server.run_string srv trace with
+      | Ok _ -> Alcotest.fail "raising drain returned Ok"
+      | Error e ->
+          let prefix = "shard drain failed: " in
+          let n = String.length prefix in
+          Alcotest.(check string)
+            "message" prefix
+            (String.sub e.Codec.msg 0 (min n (String.length e.Codec.msg)));
+          Alcotest.(check bool) "located mid-trace" true
+            (e.Codec.frame > 0 && e.Codec.offset > 0 && e.Codec.offset < String.length trace));
+      let again = run_one ~ctx:"after fault" srv trace in
+      check_result "after fault" (oracle p) again;
+      Alcotest.(check bool) "identical to a fresh server" true (again = fresh))
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -366,6 +396,7 @@ let () =
           Alcotest.test_case "registry differential" `Quick sharded_matches_serial;
           Alcotest.test_case "controlled hand-off" `Quick controlled_handoff;
           Alcotest.test_case "pool survives raising thunks" `Quick pool_survives_raising_thunks;
+          Alcotest.test_case "drain fault is an Error" `Quick drain_fault_is_an_error;
           QCheck_alcotest.to_alcotest sharded_random_matches_serial;
         ] );
       ( "resident",

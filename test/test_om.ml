@@ -470,6 +470,107 @@ let fused_matches_boxed_pair =
       done;
       true)
 
+(* [Om_fused.insert_right]'s discipline on a pair of boxed structures:
+   the anchor keeps its place and one fresh element goes after it in
+   English, and after (S) or before (P) it in Hebrew. *)
+let insert_right_boxed eng heb x_eng x_heb ~parallel =
+  let module O = Spr_om.Om in
+  let r_eng = O.insert_after eng x_eng in
+  let r_heb = if parallel then O.insert_before heb x_heb else O.insert_after heb x_heb in
+  (r_eng, r_heb)
+
+let fused_insert_right_matches_boxed_pair =
+  QCheck2.Test.make ~count:60
+    ~name:"om-fused: insert_right counters bit-identical to boxed English+Hebrew pair"
+    QCheck2.Gen.(pair (0 -- 1_000_000) (5 -- 400))
+    (fun (seed, rounds) ->
+      let module F = Spr_om.Om_fused in
+      let module O = Spr_om.Om in
+      let rng = Rng.create seed in
+      let f = F.create () in
+      let eng = O.create () and heb = O.create () in
+      let live = Spr_util.Vec.create () in
+      Spr_util.Vec.push live (F.base f, O.base eng, O.base heb);
+      for _ = 1 to rounds do
+        (match Rng.int rng 4 with
+        | 3 when Spr_util.Vec.length live > 1 ->
+            let idx = 1 + Rng.int rng (Spr_util.Vec.length live - 1) in
+            let fe, be, bh = Spr_util.Vec.get live idx in
+            F.delete f fe;
+            O.delete eng be;
+            O.delete heb bh;
+            (match Spr_util.Vec.pop live with
+            | Some last -> if idx < Spr_util.Vec.length live then Spr_util.Vec.set live idx last
+            | None -> assert false)
+        | _ ->
+            let fe, be, bh = Spr_util.Vec.get live (Rng.int rng (Spr_util.Vec.length live)) in
+            let parallel = Rng.bool rng in
+            let fr = F.insert_right f fe ~parallel in
+            let re, rh = insert_right_boxed eng heb be bh ~parallel in
+            Spr_util.Vec.push live (fr, re, rh));
+        F.check_invariants f
+      done;
+      check_same_stats "English" (F.stats_eng f) (O.stats eng);
+      check_same_stats "Hebrew" (F.stats_heb f) (O.stats heb);
+      let n = Spr_util.Vec.length live in
+      for _ = 1 to 200 do
+        let fa, ba, ha = Spr_util.Vec.get live (Rng.int rng n) in
+        let fb, bb, hb = Spr_util.Vec.get live (Rng.int rng n) in
+        if fa <> fb then begin
+          Alcotest.(check bool) "English precedes" (O.precedes eng ba bb) (F.precedes_eng f fa fb);
+          Alcotest.(check bool) "Hebrew precedes" (O.precedes heb ha hb) (F.precedes_heb f fa fb)
+        end
+      done;
+      true)
+
+(* Hebrew [link_before] on a bucket head whose tag has run down to 0:
+   a P-node insert_right chain always anchors at the newest Hebrew head,
+   halving the head tag each time, until the bucket must respace.  61
+   inserts keep the bucket under capacity, so the one Hebrew relabel
+   pass is that respace, not a split. *)
+let fused_link_before_head_respace () =
+  let module F = Spr_om.Om_fused in
+  let module O = Spr_om.Om in
+  let f = F.create () in
+  let eng = O.create () and heb = O.create () in
+  let x = ref (F.base f, O.base eng, O.base heb) in
+  for _ = 1 to 61 do
+    let fx, ex, hx = !x in
+    let fr = F.insert_right f fx ~parallel:true in
+    let re, rh = insert_right_boxed eng heb ex hx ~parallel:true in
+    F.check_invariants f;
+    Alcotest.(check bool) "new head precedes anchor in Hebrew" true (F.precedes_heb f fr fx);
+    x := (fr, re, rh)
+  done;
+  check_same_stats "English" (F.stats_eng f) (O.stats eng);
+  check_same_stats "Hebrew" (F.stats_heb f) (O.stats heb);
+  Alcotest.(check int) "one Hebrew bucket" 1 (snd (F.bucket_counts f));
+  Alcotest.(check int) "head respaced once" 1 (F.stats_heb f).relabel_passes
+
+(* Hebrew [link_before] on the head of a full (62-item) bucket: the
+   bucket splits first, and the new element still lands right before
+   the anchor. *)
+let fused_link_before_full_bucket () =
+  let module F = Spr_om.Om_fused in
+  let module O = Spr_om.Om in
+  let f = F.create () in
+  let eng = O.create () and heb = O.create () in
+  let fb = F.base f and eb = O.base eng and hb = O.base heb in
+  for _ = 1 to 61 do
+    ignore (F.insert_right f fb ~parallel:false);
+    ignore (insert_right_boxed eng heb eb hb ~parallel:false)
+  done;
+  Alcotest.(check int) "one full Hebrew bucket" 1 (snd (F.bucket_counts f));
+  Alcotest.(check int) "62 items" 62 (F.size f);
+  let fr = F.insert_right f fb ~parallel:true in
+  ignore (insert_right_boxed eng heb eb hb ~parallel:true);
+  F.check_invariants f;
+  Alcotest.(check int) "Hebrew bucket split" 2 (snd (F.bucket_counts f));
+  Alcotest.(check bool) "right child before anchor in Hebrew" true (F.precedes_heb f fr fb);
+  Alcotest.(check bool) "right child after anchor in English" true (F.precedes_eng f fb fr);
+  check_same_stats "English" (F.stats_eng f) (O.stats eng);
+  check_same_stats "Hebrew" (F.stats_heb f) (O.stats heb)
+
 let fused_free_list_reuse =
   QCheck2.Test.make ~count:100 ~name:"om-fused: delete/insert churn reuses slots"
     QCheck2.Gen.(pair (0 -- 1_000_000) (5 -- 120))
@@ -721,6 +822,11 @@ let () =
       ( "fused",
         [
           QCheck_alcotest.to_alcotest fused_matches_boxed_pair;
+          QCheck_alcotest.to_alcotest fused_insert_right_matches_boxed_pair;
+          Alcotest.test_case "link_before respaces a tag-0 head" `Quick
+            fused_link_before_head_respace;
+          Alcotest.test_case "link_before splits a full head bucket" `Quick
+            fused_link_before_full_bucket;
           QCheck_alcotest.to_alcotest fused_free_list_reuse;
           Alcotest.test_case "use after delete / reset hygiene" `Quick fused_use_after_delete;
         ] );

@@ -344,13 +344,31 @@ let fused_and_tree_om_work p =
     (Spr_core.Sp_maintainer.Instance ((module Spr_core.Sp_order_fused), sp));
   (om_work (Spr_race.Drivers.Fused.order t), om_work sp)
 
+(* One fresh OM element per Enter: after a full run the structure
+   holds exactly one element per canonical leaf, and each order took
+   exactly one insert per internal node. *)
+let one_element_per_enter label p =
+  let t = Spr_race.Drivers.Fused.create p in
+  Spr_race.Drivers.Fused.run t;
+  let tree = Prog_tree.tree (Prog_tree.of_program p) in
+  let leaves = Spr_sptree.Sp_tree.leaf_count tree in
+  let internal = Spr_sptree.Sp_tree.node_count tree - leaves in
+  let om = Spr_core.Sp_order_fused.om (Spr_race.Drivers.Fused.order t) in
+  let e = Spr_om.Om_fused.stats_eng om and h = Spr_om.Om_fused.stats_heb om in
+  Alcotest.(check int) (label ^ ": live elements = leaves") leaves (Spr_om.Om_fused.size om);
+  Alcotest.(check int) (label ^ ": English inserts = internal nodes") internal e.inserts;
+  Alcotest.(check int) (label ^ ": Hebrew inserts = internal nodes") internal h.inserts
+
 let fused_shape_registry () =
   let relabels = ref 0 in
   List.iter
     (fun (name, gen) ->
       for seed = 0 to 3 do
-        let fused, tree = fused_and_tree_om_work (gen ~size:16 ~seed) in
-        Alcotest.(check (list int)) (Printf.sprintf "%s seed %d" name seed) tree fused;
+        let label = Printf.sprintf "%s seed %d" name seed in
+        let p = gen ~size:16 ~seed in
+        let fused, tree = fused_and_tree_om_work p in
+        Alcotest.(check (list int)) label tree fused;
+        one_element_per_enter label p;
         relabels := !relabels + List.nth fused 1
       done)
     W.named;
