@@ -4,9 +4,12 @@
    count — over every named workload generator, over random programs
    on a resident reused server, and with the shadow memory sharded
    across real worker domains or a schedtest-controlled hand-off.
-   Decoder totality: truncated or corrupted traces yield [Error] with
-   a frame-located diagnostic, never an exception, never a partial
-   result, and leave the server usable. *)
+   Each serial differential runs under all three SP oracles (the fused
+   order and both clocks), plus hand-built shapes that stress the
+   clocks' P-node bookkeeping.  Decoder totality: truncated or
+   corrupted traces yield [Error] with a frame-located diagnostic,
+   never an exception, never a partial result, agree across the
+   oracles, and leave the server usable. *)
 
 open Spr_prog
 module W = Spr_workloads.Progs
@@ -44,9 +47,21 @@ let run_one ?(ctx = "run") srv trace =
   | Ok rs -> Alcotest.failf "%s: expected 1 program result, got %d" ctx (List.length rs)
   | Error e -> Alcotest.failf "%s: unexpected decode error: %a" ctx Codec.pp_error e
 
-let with_server ?shards ?batch ?runner f =
-  let srv = Server.create ?shards ?batch ?runner () in
+let with_server ?shards ?batch ?oracle ?runner f =
+  let srv = Server.create ?shards ?batch ?oracle ?runner () in
   Fun.protect ~finally:(fun () -> Server.close srv) (fun () -> f srv)
+
+let oracles = [ Server.Sp_fused; Server.Hb_vector; Server.Hb_tree ]
+
+let oracle_name = function
+  | Server.Sp_fused -> "sp-order-fused"
+  | Server.Hb_vector -> "hb-vector"
+  | Server.Hb_tree -> "hb-tree"
+
+(* One resident server per oracle, shared by a whole property run. *)
+let resident_servers () = List.map (fun o -> (o, Server.create ~oracle:o ())) oracles
+
+let gen_oracle = QCheck2.Gen.oneofl oracles
 
 (* Per-workload sizes keeping each program in the hundreds-to-few-
    thousand-events range (fib/matmul sizes are exponential/cubic). *)
@@ -65,16 +80,71 @@ let size_for = function
 (* 1. Capture -> replay differential over the whole registry.          *)
 
 let registry_roundtrip () =
-  with_server (fun srv ->
-      List.iter
-        (fun (name, gen) ->
-          let p = gen ~size:(size_for name) ~seed:3 in
-          let trace = Codec.capture [ p ] in
-          let got = run_one ~ctx:name srv trace in
-          check_result name (oracle p) got;
-          Alcotest.(check int) (name ^ ": accesses") (Fj.access_count p) got.Server.accesses;
-          Alcotest.(check int) (name ^ ": threads") (Fj.thread_count p) got.Server.threads)
-        W.named)
+  List.iter
+    (fun o ->
+      with_server ~oracle:o (fun srv ->
+          List.iter
+            (fun (name, gen) ->
+              let ctx = name ^ " / " ^ oracle_name o in
+              let p = gen ~size:(size_for name) ~seed:3 in
+              let trace = Codec.capture [ p ] in
+              let got = run_one ~ctx srv trace in
+              check_result ctx (oracle p) got;
+              Alcotest.(check int) (ctx ^ ": accesses") (Fj.access_count p) got.Server.accesses;
+              Alcotest.(check int) (ctx ^ ": threads") (Fj.thread_count p) got.Server.threads)
+            W.named))
+    oracles
+
+(* Hand-built shapes for the clocks' P-node bookkeeping: every thread
+   writes one of two shared cells and reads a third, so nearly every
+   pair of threads is queried.  Each shape puts a P-node's Enter, Mid
+   or Exit where a block or a procedure boundary makes it easy to
+   misplace: a block ending in a spawn (whose continuation is the
+   canonical tree's synthetic leaf), a child that is nothing but a
+   spawn, the implicit sync closing two spawns at once, and spawns
+   nested first-in-child two deep. *)
+let shapes =
+  let build f =
+    let b = Fj.Builder.create () in
+    let k = ref 0 in
+    let run () =
+      let i = !k in
+      incr k;
+      Fj.Run
+        (Fj.Builder.thread b
+           ~accesses:
+             [
+               { Fj.loc = i mod 2; write = true; locks = [] };
+               { Fj.loc = 2; write = false; locks = [] };
+             ]
+           ~cost:1 ())
+    in
+    let proc blocks = Fj.Spawn (Fj.Builder.proc b blocks) in
+    Fj.Builder.finish b (Fj.Builder.proc b (f run proc))
+  in
+  [
+    ( "child is a single spawn",
+      build (fun run proc -> [ [ run (); proc [ [ proc [ [ run () ] ] ] ]; run () ]; [ run () ] ]) );
+    ( "block ends in a spawn",
+      build (fun run proc -> [ [ run (); proc [ [ run () ] ] ]; [ run (); proc [ [ run () ] ] ]; [ run () ] ]) );
+    ( "two spawns then the implicit sync",
+      build (fun run proc ->
+          [ [ run (); proc [ [ run (); proc [ [ run () ] ]; proc [ [ run () ] ] ] ]; run () ]; [ run () ] ]) );
+    ( "spawn-first child nested two deep",
+      build (fun run proc ->
+          [ [ proc [ [ proc [ [ proc [ [ run () ] ]; run () ] ]; run () ] ]; run () ]; [ run () ] ]) );
+  ]
+
+let shapes_match_oracle () =
+  List.iter
+    (fun o ->
+      with_server ~oracle:o (fun srv ->
+          List.iter
+            (fun (name, p) ->
+              let ctx = name ^ " / " ^ oracle_name o in
+              check_result ctx (oracle p) (run_one ~ctx srv (Codec.capture [ p ])))
+            shapes))
+    oracles
 
 (* The buggy variants must actually exercise the race path, or the
    differential above proves nothing about reports. *)
@@ -91,25 +161,28 @@ let buggy_variants_report () =
 (* ------------------------------------------------------------------ *)
 (* 2. Random programs vs the oracle, one resident server throughout.   *)
 
+let print_case (seed, threads, o) = Printf.sprintf "seed %d, %d threads, %s" seed threads (oracle_name o)
+
 let random_matches_oracle =
-  let srv = Server.create () in
-  QCheck2.Test.make ~count:80 ~name:"ingest replay matches detect_serial on random programs"
-    QCheck2.Gen.(pair (0 -- 1_000_000) (2 -- 60))
-    (fun (seed, threads) ->
+  let servers = resident_servers () in
+  QCheck2.Test.make ~count:240 ~print:print_case
+    ~name:"ingest replay matches detect_serial on random programs"
+    QCheck2.Gen.(triple (0 -- 1_000_000) (2 -- 60) gen_oracle)
+    (fun (seed, threads, o) ->
       let rng = Rng.create seed in
       let p = W.random_prog ~rng ~threads ~locs:8 ~accesses_per_thread:4 () in
       let want = oracle p in
-      let got = run_one srv (Codec.capture [ p ]) in
+      let got = run_one (List.assoc o servers) (Codec.capture [ p ]) in
       List.map race_repr want.Drivers.races = List.map race_repr got.Server.races
       && want.Drivers.racy_locs = got.Server.racy_locs
       && want.Drivers.sp_queries = got.Server.sp_queries)
 
 let adversarial_matches_oracle =
-  let srv = Server.create () in
-  QCheck2.Test.make ~count:40
+  let servers = resident_servers () in
+  QCheck2.Test.make ~count:120 ~print:print_case
     ~name:"ingest replay matches detect_serial on adversarial shapes"
-    QCheck2.Gen.(pair (0 -- 1_000_000) (2 -- 40))
-    (fun (seed, threads) ->
+    QCheck2.Gen.(triple (0 -- 1_000_000) (2 -- 40) gen_oracle)
+    (fun (seed, threads, o) ->
       let rng = Rng.create seed in
       let shape =
         match seed mod 4 with
@@ -120,7 +193,7 @@ let adversarial_matches_oracle =
       in
       let p = W.random_adversarial ~rng ~threads ~shape () in
       let want = oracle p in
-      let got = run_one srv (Codec.capture [ p ]) in
+      let got = run_one (List.assoc o servers) (Codec.capture [ p ]) in
       List.map race_repr want.Drivers.races = List.map race_repr got.Server.races
       && want.Drivers.racy_locs = got.Server.racy_locs)
 
@@ -250,19 +323,37 @@ let truncation_is_an_error =
       let recovers = match Server.run_string srv full with Ok _ -> true | Error _ -> false in
       truncated_ok && recovers)
 
+(* A mutant (1-3 overwritten bytes) goes through every oracle: each
+   must return the identical [Error] (same offset, frame and message)
+   or the identical per-program results, never raise, and then accept
+   the clean trace again. *)
 let corruption_never_escapes =
-  let srv = Server.create () in
-  QCheck2.Test.make ~count:200 ~name:"byte corruption yields Ok or Error, never an exception"
-    QCheck2.Gen.(pair (0 -- 1_000_000) (0 -- 255))
-    (fun (at, byte) ->
+  let servers = resident_servers () in
+  QCheck2.Test.make ~count:200
+    ~print:(fun muts ->
+      String.concat ", " (List.map (fun (at, byte) -> Printf.sprintf "%d:=%d" at byte) muts))
+    ~name:"byte corruption yields Ok or Error, never an exception"
+    QCheck2.Gen.(list_size (1 -- 3) (pair (0 -- 1_000_000) (0 -- 255)))
+    (fun muts ->
       let full = Lazy.force reference_trace in
-      let at = at mod String.length full in
       let b = Bytes.of_string full in
-      Bytes.set b at (Char.chr byte);
-      match Server.run_string srv (Bytes.to_string b) with
-      | Ok _ | Error _ -> (
-          (* And again: no lingering poisoned state. *)
-          match Server.run_string srv full with Ok _ -> true | Error _ -> false))
+      List.iter (fun (at, byte) -> Bytes.set b (at mod String.length full) (Char.chr byte)) muts;
+      let mutant = Bytes.to_string b in
+      let outcomes =
+        List.map
+          (fun (_, srv) ->
+            match Server.run_string srv mutant with
+            | r -> Some r
+            | exception _ -> None)
+          servers
+      in
+      let first = List.hd outcomes in
+      first <> None
+      && List.for_all (( = ) first) outcomes
+      (* And again: no lingering poisoned state. *)
+      && List.for_all
+           (fun (_, srv) -> match Server.run_string srv full with Ok _ -> true | Error _ -> false)
+           servers)
 
 let diagnostics_locate_the_frame () =
   with_server (fun srv ->
@@ -296,7 +387,11 @@ let controlled_handoff () =
     let outcomes = ref [] in
     let runner tasks =
       let r = Control.run (Control.Random seed) ~tasks:(Array.to_list tasks) in
-      outcomes := r.Control.outcome :: !outcomes
+      outcomes := r.Control.outcome :: !outcomes;
+      (* [Control.run] collects task exceptions; surface them as the
+         pool would, so a faulting drain cannot pass with partial
+         verdicts. *)
+      match r.Control.exns with (_, e) :: _ -> raise e | [] -> ()
     in
     with_server ~shards:3 ~batch:16 ~runner (fun srv ->
         let got = run_one ~ctx:(Printf.sprintf "seed %d" seed) srv trace in
@@ -377,6 +472,51 @@ let drain_fault_is_an_error () =
       check_result "after fault" (oracle p) again;
       Alcotest.(check bool) "identical to a fresh server" true (again = fresh))
 
+(* The same fault under PCT-scheduled hand-offs: on the first flush,
+   one shard's drain raises after its real work.  The controller must
+   still complete the round, the server must report the located
+   [Error], and its next trace must match a fresh server's. *)
+let pct_drain_fault_is_an_error () =
+  let p = W.random_prog ~rng:(Rng.create 9) ~threads:40 ~locs:8 ~accesses_per_thread:4 () in
+  let trace = Codec.capture [ p ] in
+  for seed = 0 to 11 do
+    let ctx = Printf.sprintf "pct seed %d" seed in
+    let shards = 2 + (seed mod 2) in
+    let outcomes = ref [] in
+    let armed = ref true in
+    let runner tasks =
+      let tasks = Array.to_list tasks in
+      let tasks =
+        if !armed then begin
+          armed := false;
+          List.mapi
+            (fun i f -> if i = seed mod shards then fun () -> f (); raise (Planted i) else f)
+            tasks
+        end
+        else tasks
+      in
+      let r = Control.run (Control.Pct { seed; depth = 3; steps = 200 }) ~tasks in
+      outcomes := r.Control.outcome :: !outcomes;
+      match r.Control.exns with (_, e) :: _ -> raise e | [] -> ()
+    in
+    let fresh = with_server ~shards ~batch:16 (fun srv -> run_one ~ctx srv trace) in
+    with_server ~shards ~batch:16 ~runner (fun srv ->
+        (match Server.run_string srv trace with
+        | Ok _ -> Alcotest.failf "%s: raising drain returned Ok" ctx
+        | Error e ->
+            let prefix = "shard drain failed: " in
+            let n = String.length prefix in
+            Alcotest.(check string)
+              (ctx ^ ": message") prefix
+              (String.sub e.Codec.msg 0 (min n (String.length e.Codec.msg))));
+        let again = run_one ~ctx srv trace in
+        Alcotest.(check bool) (ctx ^ ": identical to a fresh server") true (again = fresh);
+        Alcotest.(check bool)
+          (ctx ^ ": every round completed")
+          true
+          (!outcomes <> [] && List.for_all (fun o -> o = Control.Completed) !outcomes))
+  done
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -388,6 +528,7 @@ let () =
           Alcotest.test_case "buggy variants report" `Quick buggy_variants_report;
           Alcotest.test_case "multi-program trace" `Quick multi_program_trace;
           Alcotest.test_case "header-only trace" `Quick empty_trace;
+          Alcotest.test_case "hand-built shapes, all oracles" `Quick shapes_match_oracle;
           QCheck_alcotest.to_alcotest random_matches_oracle;
           QCheck_alcotest.to_alcotest adversarial_matches_oracle;
         ] );
@@ -397,6 +538,7 @@ let () =
           Alcotest.test_case "controlled hand-off" `Quick controlled_handoff;
           Alcotest.test_case "pool survives raising thunks" `Quick pool_survives_raising_thunks;
           Alcotest.test_case "drain fault is an Error" `Quick drain_fault_is_an_error;
+          Alcotest.test_case "drain fault under PCT" `Quick pct_drain_fault_is_an_error;
           QCheck_alcotest.to_alcotest sharded_random_matches_serial;
         ] );
       ( "resident",
