@@ -21,9 +21,11 @@
    by the one clock lineage that currently owns it as root — [tick]
    re-roots onto a fresh slot, and the only other advance is the
    target root's increment when a join attaches a new subtree.  The
-   driving layers (Sp_clock, Stream_clock) maintain this by ticking a
-   fresh strand slot whenever a snapshot is restored into a clock that
-   will receive joins. *)
+   driving walk ({!Sp_clock}) keeps it through the canonical parse
+   tree's shape: a restored snapshot always executes a leaf — a thread,
+   or the synthetic continuation leaf of a block that ends in a spawn,
+   which the ingest server ticks as thread [-1] — and so re-roots onto
+   a fresh slot before it receives a join. *)
 
 type clock = {
   mutable clk : int array;

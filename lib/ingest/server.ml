@@ -8,10 +8,10 @@ type runner = (unit -> unit) array -> unit
 
 (* Which happens-before oracle answers the detector's SP queries.  The
    default drives the fused English/Hebrew order; the clock oracles
-   track happens-before directly on the frame structure
-   ({!Spr_hb.Stream_clock}) and exist to pin, byte for byte, that a
-   vector or tree clock reaches the same verdicts through a completely
-   independent code path. *)
+   drive {!Spr_hb.Sp_clock} from the same frame walk — Enter, Mid and
+   Exit of the P-nodes it rebuilds, plus threads — and exist to pin,
+   byte for byte, that a vector or tree clock reaches the same
+   verdicts through an independent order representation. *)
 type oracle = Sp_fused | Hb_vector | Hb_tree
 
 type program_result = {
@@ -45,13 +45,14 @@ type t = {
   shard_arr : Shard.t array;  (* empty when nshards = 1 *)
   tasks : (unit -> unit) array;  (* drain thunks, built once *)
   sp : Sp.t;
-  clock : Spr_hb.Stream_clock.t option;  (* Some iff a clock oracle *)
+  clock : Spr_hb.Sp_clock.handle option;  (* Some iff a clock oracle *)
   leaf : int array ref;  (* tid -> leaf node id, -1 = not yet run *)
   precedes : executed:int -> current:int -> bool;
   mutable det : D.t;  (* the single-shard detector *)
   mutable det_locs : int;
   mutable pctx : int array;  (* per call frame: current procedure context *)
   mutable resume : int array;  (* per call frame: continuation after RETURN *)
+  mutable opened : int array;  (* per call frame: P-nodes open in its block (clocks) *)
   pos : int ref;
   (* Per-program decode state. *)
   mutable depth : int;
@@ -104,12 +105,12 @@ let create ?(shards = 1) ?(batch = 8192) ?(oracle = Sp_fused) ?runner () =
   let clock =
     match oracle with
     | Sp_fused -> None
-    | Hb_vector -> Some (Spr_hb.Stream_clock.vector ())
-    | Hb_tree -> Some (Spr_hb.Stream_clock.tree ())
+    | Hb_vector -> Some (Spr_hb.Sp_clock.vector ())
+    | Hb_tree -> Some (Spr_hb.Sp_clock.tree ())
   in
   let precedes =
     match clock with
-    | Some c -> c.Spr_hb.Stream_clock.precedes
+    | Some c -> c.Spr_hb.Sp_clock.precedes
     | None ->
         fun ~executed ~current ->
           let l = !leaf in
@@ -144,6 +145,7 @@ let create ?(shards = 1) ?(batch = 8192) ?(oracle = Sp_fused) ?runner () =
     det_locs = 1;
     pctx = Array.make 64 0;
     resume = Array.make 64 0;
+    opened = Array.make 64 0;
     pos = ref 0;
     depth = 0;
     ictx = 0;
@@ -206,12 +208,45 @@ let block_split t =
 let ensure_frames t depth =
   if depth >= Array.length t.pctx then begin
     let cap = max 64 (2 * (depth + 1)) in
-    let np = Array.make cap 0 and nr = Array.make cap 0 in
-    Array.blit t.pctx 0 np 0 (Array.length t.pctx);
-    Array.blit t.resume 0 nr 0 (Array.length t.resume);
-    t.pctx <- np;
-    t.resume <- nr
+    let grow a =
+      let b = Array.make cap 0 in
+      Array.blit a 0 b 0 (Array.length a);
+      b
+    in
+    t.pctx <- grow t.pctx;
+    t.resume <- grow t.resume;
+    t.opened <- grow t.opened
   end
+
+(* --- The clock oracles' P-node events ----------------------------- *)
+
+(* The frame walk meets the canonical parse tree's P-nodes as follows:
+   SPAWN is the Enter of one, RETURN the Mid of the latest, and every
+   P-node spawned in a sync block exits when that block closes (at its
+   SYNC, its procedure's RETURN, or PROG_END), innermost first.  A
+   block that ends in a spawn first runs the canonical tree's synthetic
+   continuation leaf.  Kept out of line so each frame pays one match on
+   [t.clock]. *)
+let clock_close_block t (c : Spr_hb.Sp_clock.handle) frame =
+  let k = t.opened.(frame) in
+  if k > 0 then begin
+    if t.cur_tid < 0 then c.thread (-1);
+    for _ = 1 to k do
+      c.join ()
+    done;
+    t.opened.(frame) <- 0
+  end
+
+(* After the SPAWN's push: the parent frame is [depth - 2]. *)
+let clock_spawn t (c : Spr_hb.Sp_clock.handle) =
+  c.fork ();
+  t.opened.(t.depth - 2) <- t.opened.(t.depth - 2) + 1;
+  t.opened.(t.depth - 1) <- 0
+
+(* After the RETURN's pop: the child frame is [depth]. *)
+let clock_return t (c : Spr_hb.Sp_clock.handle) =
+  clock_close_block t c t.depth;
+  c.mid ()
 
 (* --- The frame loop ----------------------------------------------- *)
 
@@ -281,7 +316,7 @@ let rec body t s =
     l.(tid) <- n;
     t.ictx <- n + 1;
     t.cur_tid <- tid;
-    (match t.clock with Some c -> c.Spr_hb.Stream_clock.thread tid | None -> ());
+    (match t.clock with Some c -> c.Spr_hb.Sp_clock.thread tid | None -> ());
     body t s
   end
   else if tag = Codec.tag_spawn then begin
@@ -293,7 +328,7 @@ let rec body t s =
     t.resume.(t.depth) <- n + 1;
     t.depth <- t.depth + 1;
     block_split t;
-    (match t.clock with Some c -> c.Spr_hb.Stream_clock.spawn () | None -> ());
+    (match t.clock with Some c -> clock_spawn t c | None -> ());
     body t s
   end
   else if tag = Codec.tag_return then begin
@@ -301,14 +336,14 @@ let rec body t s =
     if t.depth <= 1 then corrupt_here t "RETURN without a matching SPAWN";
     t.depth <- t.depth - 1;
     t.ictx <- t.resume.(t.depth);
+    (match t.clock with Some c -> clock_return t c | None -> ());
     t.cur_tid <- -1;
-    (match t.clock with Some c -> c.Spr_hb.Stream_clock.return_ () | None -> ());
     body t s
   end
   else if tag = Codec.tag_sync then begin
     t.p_events <- t.p_events + 1;
+    (match t.clock with Some c -> clock_close_block t c (t.depth - 1) | None -> ());
     block_split t;
-    (match t.clock with Some c -> c.Spr_hb.Stream_clock.sync () | None -> ());
     body t s
   end
   else if tag = Codec.tag_read_locked || tag = Codec.tag_write_locked then begin
@@ -330,6 +365,7 @@ let rec body t s =
     if t.next <> t.nodes_bound then
       corrupt_here t "node-budget mismatch (header declared %d, walk used %d)"
         t.nodes_bound t.next;
+    (match t.clock with Some c -> clock_close_block t c 0 | None -> ());
     if t.nshards > 1 then flush t
   end
   else corrupt_here t "unknown frame tag %d" tag
@@ -377,12 +413,13 @@ let start_program t s =
   end;
   t.depth <- 1;
   t.pctx.(0) <- 0;
+  t.opened.(0) <- 0;
   t.next <- 1;
   t.ictx <- 0;
   t.cur_tid <- -1;
   t.p_events <- 0;
   t.p_accesses <- 0;
-  (match t.clock with Some c -> c.Spr_hb.Stream_clock.reset () | None -> ());
+  (match t.clock with Some c -> c.Spr_hb.Sp_clock.reset threads | None -> ());
   block_split t
 
 (* Races/queries for the just-finished program, without materializing

@@ -51,9 +51,9 @@ type stats = {
 type oracle = Sp_fused | Hb_vector | Hb_tree
 (** Which happens-before oracle answers the detector's SP queries.
     [Sp_fused] (the default) is the fused English/Hebrew order; the
-    clock oracles ({!Spr_hb.Stream_clock}) track happens-before
-    directly on SPAWN/RETURN/SYNC/THREAD frames — an independent code
-    path whose verdicts must stay byte-identical. *)
+    clock oracles drive {!Spr_hb.Sp_clock} from the same frame walk
+    (Enter, Mid and Exit of its P-nodes, plus threads) — an independent
+    order representation whose verdicts must stay byte-identical. *)
 
 val create : ?shards:int -> ?batch:int -> ?oracle:oracle -> ?runner:runner -> unit -> t
 (** [shards] (default 1) partitions the address space across that many

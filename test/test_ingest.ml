@@ -124,9 +124,10 @@ let shapes =
   in
   [
     ( "child is a single spawn",
-      build (fun run proc -> [ [ run (); proc [ [ proc [ [ run () ] ] ] ]; run () ]; [ run () ] ]) );
+      build (fun run proc -> [ [ run (); proc [ [ proc [ [ run () ] ] ] ] ]; [ run () ] ]) );
     ( "block ends in a spawn",
-      build (fun run proc -> [ [ run (); proc [ [ run () ] ] ]; [ run (); proc [ [ run () ] ] ]; [ run () ] ]) );
+      build (fun run proc ->
+          [ [ run (); proc [ [ proc [ [ run () ] ] ]; [ run () ] ] ]; [ run (); run () ] ]) );
     ( "two spawns then the implicit sync",
       build (fun run proc ->
           [ [ run (); proc [ [ run (); proc [ [ run () ] ]; proc [ [ run () ] ] ] ]; run () ]; [ run () ] ]) );
