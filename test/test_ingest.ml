@@ -5,8 +5,8 @@
    on a resident reused server, and with the shadow memory sharded
    across real worker domains or a schedtest-controlled hand-off.
    Each serial differential runs under all three SP oracles (the fused
-   order and both clocks), plus hand-built shapes that stress the
-   clocks' P-node bookkeeping.  Decoder totality: truncated or
+   order and both clocks); the registry one also covers hand-built
+   shapes that stress the clocks' P-node bookkeeping.  Decoder totality: truncated or
    corrupted traces yield [Error] with a frame-located diagnostic,
    never an exception, never a partial result, agree across the
    oracles, and leave the server usable. *)
@@ -79,30 +79,13 @@ let size_for = function
 (* ------------------------------------------------------------------ *)
 (* 1. Capture -> replay differential over the whole registry.          *)
 
-let registry_roundtrip () =
-  List.iter
-    (fun o ->
-      with_server ~oracle:o (fun srv ->
-          List.iter
-            (fun (name, gen) ->
-              let ctx = name ^ " / " ^ oracle_name o in
-              let p = gen ~size:(size_for name) ~seed:3 in
-              let trace = Codec.capture [ p ] in
-              let got = run_one ~ctx srv trace in
-              check_result ctx (oracle p) got;
-              Alcotest.(check int) (ctx ^ ": accesses") (Fj.access_count p) got.Server.accesses;
-              Alcotest.(check int) (ctx ^ ": threads") (Fj.thread_count p) got.Server.threads)
-            W.named))
-    oracles
-
 (* Hand-built shapes for the clocks' P-node bookkeeping: every thread
-   writes one of two shared cells and reads a third, so nearly every
-   pair of threads is queried.  Each shape puts a P-node's Enter, Mid
-   or Exit where a block or a procedure boundary makes it easy to
-   misplace: a block ending in a spawn (whose continuation is the
-   canonical tree's synthetic leaf), a child that is nothing but a
-   spawn, the implicit sync closing two spawns at once, and spawns
-   nested first-in-child two deep. *)
+   writes one of two shared cells and reads a third.  Each shape puts
+   a P-node's Enter, Mid or Exit where a block or a procedure boundary
+   makes it easy to misplace: a block ending in a spawn (whose
+   continuation is the canonical tree's synthetic leaf), a child that
+   is nothing but a spawn, the implicit sync closing two spawns at
+   once, and spawns nested first-in-child two deep. *)
 let shapes =
   let build f =
     let b = Fj.Builder.create () in
@@ -136,15 +119,22 @@ let shapes =
           [ [ proc [ [ proc [ [ proc [ [ run () ] ]; run () ] ]; run () ] ]; run () ]; [ run () ] ]) );
   ]
 
-let shapes_match_oracle () =
+(* Every named workload, plus the hand-built shapes, under each oracle. *)
+let registry_roundtrip () =
+  let programs =
+    List.map (fun (name, gen) -> (name, gen ~size:(size_for name) ~seed:3)) W.named @ shapes
+  in
   List.iter
     (fun o ->
       with_server ~oracle:o (fun srv ->
           List.iter
             (fun (name, p) ->
               let ctx = name ^ " / " ^ oracle_name o in
-              check_result ctx (oracle p) (run_one ~ctx srv (Codec.capture [ p ])))
-            shapes))
+              let got = run_one ~ctx srv (Codec.capture [ p ]) in
+              check_result ctx (oracle p) got;
+              Alcotest.(check int) (ctx ^ ": accesses") (Fj.access_count p) got.Server.accesses;
+              Alcotest.(check int) (ctx ^ ": threads") (Fj.thread_count p) got.Server.threads)
+            programs))
     oracles
 
 (* The buggy variants must actually exercise the race path, or the
@@ -529,7 +519,6 @@ let () =
           Alcotest.test_case "buggy variants report" `Quick buggy_variants_report;
           Alcotest.test_case "multi-program trace" `Quick multi_program_trace;
           Alcotest.test_case "header-only trace" `Quick empty_trace;
-          Alcotest.test_case "hand-built shapes, all oracles" `Quick shapes_match_oracle;
           QCheck_alcotest.to_alcotest random_matches_oracle;
           QCheck_alcotest.to_alcotest adversarial_matches_oracle;
         ] );
