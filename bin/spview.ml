@@ -183,30 +183,17 @@ let trace_cmd_run kind size seed procs out metrics_fmt =
   | "pretty" | "json" -> ()
   | other -> usage_error "metrics format" other [ "pretty"; "json" ]);
   let p = gen_workload kind size seed in
-  let tr = Spr_obs.Trace.create () in
+  (* One flight lane per worker; the lanes share a 2^16-event budget. *)
+  let flight =
+    Spr_obs.Flight.create ~lanes:procs ~capacity:(max 512 ((1 lsl 16) / max 1 procs)) ()
+  in
   let m = Spr_obs.Metrics.create () in
-  let sink = Spr_obs.Sink.make ~trace:tr ~metrics:m () in
-  let h = Spr_hybrid.Sp_hybrid.create ~sink p in
-  let precedes ~executed ~current = Spr_hybrid.Sp_hybrid.precedes h ~executed ~current in
-  let det =
-    Spr_race.Detector.create ~sink ~locs:(Spr_race.Detector.max_loc p + 1) ~precedes ()
-  in
-  (* SP-hybrid under the simulator with the race detector riding on
-     each executing thread — the same assembly as `spview detect
-     --algo` runs serially, but parallel, and with every layer
-     reporting into the sink. *)
-  let on_thread_user h ~wid:_ ~now:_ (u : Spr_prog.Fj_program.thread) =
-    let before = Spr_race.Detector.query_count det in
-    Spr_race.Detector.run_thread det u;
-    let queries = Spr_race.Detector.query_count det - before in
-    let cost = ref 0 in
-    for _ = 1 to queries do
-      cost := !cost + Spr_hybrid.Sp_hybrid.charge_query h
-    done;
-    !cost
-  in
-  let res =
-    Spr_sched.Sim.run ~hooks:(Spr_hybrid.Sp_hybrid.hooks ~on_thread_user h) ~sink ~seed ~procs p
+  let sink = Spr_obs.Sink.make ~metrics:m ~flight () in
+  let r = Spr_race.Drivers.detect_hybrid ~sink ~seed ~procs p in
+  let lanes = List.init (Spr_obs.Flight.lanes flight) Fun.id in
+  let events = List.concat_map (Spr_obs.Flight.lane_events flight) lanes in
+  let dropped =
+    List.fold_left (fun acc l -> acc + Spr_obs.Flight.lane_dropped flight l) 0 lanes
   in
   let other_data =
     [
@@ -214,13 +201,13 @@ let trace_cmd_run kind size seed procs out metrics_fmt =
       ("size", Spr_obs.Json.Int size);
       ("seed", Spr_obs.Json.Int seed);
       ("procs", Spr_obs.Json.Int procs);
-      ("virtualTime", Spr_obs.Json.Int res.Spr_sched.Sim.time);
-      ("steals", Spr_obs.Json.Int res.Spr_sched.Sim.steals);
-      ("races", Spr_obs.Json.Int (List.length (Spr_race.Detector.races det)));
+      ("virtualTime", Spr_obs.Json.Int r.Spr_race.Drivers.sim.Spr_sched.Sim.time);
+      ("steals", Spr_obs.Json.Int r.Spr_race.Drivers.sim.Spr_sched.Sim.steals);
+      ("races", Spr_obs.Json.Int (List.length r.Spr_race.Drivers.races));
     ]
   in
   let oc = open_out out in
-  Spr_obs.Json.to_channel oc (Spr_obs.Trace.to_chrome ~other_data tr);
+  Spr_obs.Json.to_channel oc (Spr_obs.Trace.to_chrome ~other_data ~dropped events);
   output_char oc '\n';
   close_out oc;
   (match metrics_fmt with
@@ -228,7 +215,7 @@ let trace_cmd_run kind size seed procs out metrics_fmt =
   | _ ->
       Format.printf
         "wrote %s: %d events (%d dropped) — load in chrome://tracing or ui.perfetto.dev@."
-        out (Spr_obs.Trace.length tr) (Spr_obs.Trace.dropped tr);
+        out (List.length events) dropped;
       Format.printf "%a" Spr_obs.Metrics.pp m);
   0
 
@@ -315,26 +302,8 @@ let stats_cmd_run kind size seed procs fmt flight_file =
          (concurrent-OM queries/retries, runtime steals/parks). *)
       let p = gen_workload kind size seed in
       let m = Spr_obs.Metrics.create () in
-      let flight = Spr_obs.Flight.create ~lanes:procs () in
-      let sink = Spr_obs.Sink.make ~metrics:m ~flight () in
-      let h = Spr_hybrid.Sp_hybrid.create ~sink p in
-      let precedes ~executed ~current = Spr_hybrid.Sp_hybrid.precedes h ~executed ~current in
-      let det =
-        Spr_race.Detector.create ~sink ~locs:(Spr_race.Detector.max_loc p + 1) ~precedes ()
-      in
-      let on_thread_user h ~wid:_ ~now:_ (u : Spr_prog.Fj_program.thread) =
-        let before = Spr_race.Detector.query_count det in
-        Spr_race.Detector.run_thread det u;
-        let queries = Spr_race.Detector.query_count det - before in
-        let cost = ref 0 in
-        for _ = 1 to queries do
-          cost := !cost + Spr_hybrid.Sp_hybrid.charge_query h
-        done;
-        !cost
-      in
-      ignore
-        (Spr_sched.Sim.run ~hooks:(Spr_hybrid.Sp_hybrid.hooks ~on_thread_user h) ~sink ~seed
-           ~procs p);
+      let sink = Spr_obs.Sink.make ~metrics:m () in
+      ignore (Spr_race.Drivers.detect_hybrid ~sink ~seed ~procs p);
       let merged =
         List.merge compare (Spr_obs.Metrics.snapshot m)
           (Spr_obs.Sharded.metrics_snapshot Spr_obs.Sharded.default)

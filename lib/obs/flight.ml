@@ -243,15 +243,26 @@ let of_bytes s =
   if String.length s < mlen || not (String.equal (String.sub s 0 mlen) magic)
   then failwith "Flight: bad magic (not a .spr-flight file)";
   let pos = ref mlen in
+  (* A corrupted header must not size an allocation or a [String.sub]:
+     every count is non-negative, and the items it announces that are
+     actually stored — the first [stored] of them, [per] bytes or more
+     each — fit in the bytes left.  A wrapped lane's total count and
+     the capacity may legitimately exceed the file. *)
+  let get_count ?(stored = max_int) what ~per =
+    let at = !pos in
+    let n = get_varint s pos in
+    if n < 0 || min n stored > (String.length s - !pos) / per then
+      failwith (Printf.sprintf "Flight: bad %s %d at byte %d" what n at);
+    n
+  in
   let version = get_varint s pos in
   if version <> 1 then failwith (Printf.sprintf "Flight: unknown version %d" version);
-  let nlanes = get_varint s pos in
-  let cap = get_varint s pos in
-  let nnames = get_varint s pos in
+  let nlanes = get_count "lane count" ~per:1 in
+  let cap = get_count ~stored:0 "capacity" ~per:1 in
+  let nnames = get_count "name count" ~per:1 in
   let names =
     Array.init nnames (fun _ ->
-        let len = get_varint s pos in
-        if !pos + len > String.length s then failwith "Flight: truncated name";
+        let len = get_count "name length" ~per:1 in
         let v = String.sub s !pos len in
         pos := !pos + len;
         v)
@@ -259,7 +270,7 @@ let of_bytes s =
   let counts = Array.make nlanes 0 in
   let events =
     Array.init nlanes (fun li ->
-        let count = get_varint s pos in
+        let count = get_count ~stored:cap "event count" ~per:stride in
         counts.(li) <- count;
         let live = min count cap in
         List.init live (fun _ ->
@@ -277,8 +288,7 @@ let of_bytes s =
       incr pos;
       if flag = 0 then None
       else begin
-        let len = get_varint s pos in
-        if !pos + len > String.length s then failwith "Flight: truncated snapshot";
+        let len = get_count "snapshot length" ~per:1 in
         let j = String.sub s !pos len in
         pos := !pos + len;
         match Json.of_string j with

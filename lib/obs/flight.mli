@@ -94,7 +94,10 @@ type dump = {
 }
 
 val of_bytes : string -> dump
-(** @raise Failure on bad magic, version or truncation. *)
+(** @raise Failure (message ["Flight: ..."]) on bad magic, version or
+    event tag, on truncation, and on any count or length that is
+    negative or larger than the bytes left — a corrupted header never
+    sizes an allocation. *)
 
 val read_file : string -> dump
 

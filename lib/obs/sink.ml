@@ -1,9 +1,9 @@
 (* The instrumentation hook handed to the library layers.
 
-   A sink bundles an optional event-trace buffer, an optional metrics
-   registry, an optional flight recorder and the current (virtual
-   time, worker) context, which the scheduler updates as it steps so
-   that layers with no clock of their own (the OM structures, the race
+   A sink bundles an optional metrics registry, an optional flight
+   recorder (the one event ring) and the current (virtual time,
+   worker) context, which the scheduler updates as it steps so that
+   layers with no clock of their own (the OM structures, the race
    detector) stamp their events correctly.
 
    [null] is the process-wide disabled sink: every path is
@@ -14,30 +14,25 @@
    hot paths: the generic [emit] forces its caller to build a
    [Trace.kind] value even when the sink is disabled, which is exactly
    the minor-heap traffic the bench alloc-gate forbids in the packed-OM
-   steady state.  The typed forms take immediate arguments and only
-   materialize an event once a trace buffer is attached; the flight
-   path stores plain ints.  Structure names are interned per emit via a
-   short scan of the recorder's name table — allocation-free. *)
+   steady state.  The typed forms take immediate arguments and the
+   flight recorder stores them as plain ints.  Structure names are
+   interned per emit via a short scan of the recorder's name table —
+   allocation-free. *)
 
 type t = {
-  trace : Trace.t option;
   metrics : Metrics.t option;
   flight : Flight.t option;
   mutable now : int;
   mutable wid : int;
 }
 
-let null = { trace = None; metrics = None; flight = None; now = 0; wid = 0 }
+let null = { metrics = None; flight = None; now = 0; wid = 0 }
 
-let make ?trace ?metrics ?flight () = { trace; metrics; flight; now = 0; wid = 0 }
+let make ?metrics ?flight () = { metrics; flight; now = 0; wid = 0 }
 
 let is_null s = s == null
 
-let trace s = s.trace
-
 let metrics s = s.metrics
-
-let flight s = s.flight
 
 let set_context s ~now ~wid =
   if s != null then begin
@@ -45,29 +40,16 @@ let set_context s ~now ~wid =
     s.wid <- wid
   end
 
-let set_now s ~now = if s != null then s.now <- now
-
 let now s = s.now
 
 let emit s kind =
-  (match s.trace with None -> () | Some tr -> Trace.emit tr ~ts:s.now ~wid:s.wid kind);
   match s.flight with
   | None -> ()
   | Some fl -> Flight.emit fl ~lane:s.wid ~ts:s.now ~wid:s.wid kind
 
-let emit_at s ~ts ~wid kind =
-  (match s.trace with None -> () | Some tr -> Trace.emit tr ~ts ~wid kind);
-  match s.flight with
-  | None -> ()
-  | Some fl -> Flight.emit fl ~lane:wid ~ts ~wid kind
-
-(* Typed, allocation-free-when-disabled emitters for the OM hot
-   paths. *)
+(* Typed, allocation-free emitters for the OM hot paths. *)
 
 let emit_om_insert s ~om =
-  (match s.trace with
-  | None -> ()
-  | Some tr -> Trace.emit tr ~ts:s.now ~wid:s.wid (Trace.Om_insert { om }));
   match s.flight with
   | None -> ()
   | Some fl ->
@@ -75,9 +57,6 @@ let emit_om_insert s ~om =
         ~tag:Flight.tag_om_insert ~a:(Flight.intern fl om) ~b:0 ~c:0 ~d:0 ~e:0
 
 let emit_om_relabel s ~om ~moved =
-  (match s.trace with
-  | None -> ()
-  | Some tr -> Trace.emit tr ~ts:s.now ~wid:s.wid (Trace.Om_relabel { om; moved }));
   match s.flight with
   | None -> ()
   | Some fl ->
@@ -86,9 +65,6 @@ let emit_om_relabel s ~om ~moved =
         ~e:0
 
 let emit_om_bucket_split s ~om =
-  (match s.trace with
-  | None -> ()
-  | Some tr -> Trace.emit tr ~ts:s.now ~wid:s.wid (Trace.Om_bucket_split { om }));
   match s.flight with
   | None -> ()
   | Some fl ->

@@ -1,7 +1,7 @@
 (** Instrumentation sink threaded through the library layers.
 
-    Bundles an optional {!Trace} buffer, an optional {!Metrics}
-    registry and the current (virtual time, worker id) context.  The
+    Bundles an optional {!Metrics} registry, an optional {!Flight}
+    recorder and the current (virtual time, worker id) context.  The
     scheduler owns the context: it calls {!set_context} as it steps so
     that clock-less layers (order maintenance, the race detector)
     stamp events with the right virtual time.
@@ -16,37 +16,28 @@ val null : t
 (** The disabled sink.  Shared and immutable: setters are no-ops on
     it. *)
 
-val make : ?trace:Trace.t -> ?metrics:Metrics.t -> ?flight:Flight.t -> unit -> t
+val make : ?metrics:Metrics.t -> ?flight:Flight.t -> unit -> t
 
 val is_null : t -> bool
 
-val trace : t -> Trace.t option
-
 val metrics : t -> Metrics.t option
 
-val flight : t -> Flight.t option
-
 val set_context : t -> now:int -> wid:int -> unit
-
-val set_now : t -> now:int -> unit
 
 val now : t -> int
 
 val emit : t -> Trace.kind -> unit
-(** Emit at the current context into the trace buffer and the flight
-    recorder (flight lane = current worker id); no-op when neither is
-    attached.  Note the caller has already allocated the [Trace.kind]
-    value — hot paths that must stay allocation-free use the typed
-    emitters below instead. *)
-
-val emit_at : t -> ts:int -> wid:int -> Trace.kind -> unit
+(** Emit at the current context into the flight recorder (flight
+    lane = current worker id); no-op when none is attached.  Note the
+    caller has already allocated the [Trace.kind] value — hot paths
+    that must stay allocation-free use the typed emitters below
+    instead. *)
 
 (** {1 Typed emitters}
 
-    Allocation-free when the sink records nothing: arguments are
-    immediates and the event value is only built once a trace buffer
-    is attached (the flight recorder stores plain ints).  The bench
-    alloc-gate relies on these in the packed-OM steady state. *)
+    Allocation-free: arguments are immediates and the flight recorder
+    stores them as plain ints (structure names as interned ids).  The
+    bench alloc-gate relies on these in the packed-OM steady state. *)
 
 val emit_om_insert : t -> om:string -> unit
 

@@ -1,7 +1,8 @@
-(* Structured event trace: a fixed-capacity ring buffer of typed
-   events stamped with the simulator's virtual clock and a worker id,
-   exportable as Chrome trace_event JSON (loadable in chrome://tracing
-   and Perfetto). *)
+(* The structured-event vocabulary: typed events stamped with the
+   simulator's virtual clock and a worker id, and their Chrome
+   trace_event JSON rendering (loadable in chrome://tracing and
+   Perfetto).  The events themselves are recorded by [Flight], the
+   one event ring; this module only names and renders them. *)
 
 type kind =
   | Spawn of { parent : int; child : int }  (* frame ids *)
@@ -17,56 +18,6 @@ type kind =
   | Race_query of { tid : int; queries : int }
 
 type event = { ts : int; wid : int; kind : kind }
-
-type t = {
-  capacity : int;
-  buf : event array;
-  mutable len : int;  (* live events, <= capacity *)
-  mutable head : int;  (* index of the oldest event once wrapped *)
-  mutable dropped : int;  (* events overwritten after wrap-around *)
-}
-
-let dummy = { ts = 0; wid = 0; kind = Sync { frame = 0 } }
-
-let create ?(capacity = 1 lsl 16) () =
-  if capacity < 1 then invalid_arg "Trace.create: capacity must be positive";
-  { capacity; buf = Array.make capacity dummy; len = 0; head = 0; dropped = 0 }
-
-let emit t ~ts ~wid kind =
-  let e = { ts; wid; kind } in
-  if t.len < t.capacity then begin
-    t.buf.((t.head + t.len) mod t.capacity) <- e;
-    t.len <- t.len + 1
-  end
-  else begin
-    (* Full: overwrite the oldest so the buffer keeps the tail of the
-       run, which is usually the interesting part. *)
-    t.buf.(t.head) <- e;
-    t.head <- (t.head + 1) mod t.capacity;
-    t.dropped <- t.dropped + 1
-  end
-
-let length t = t.len
-
-let dropped t = t.dropped
-
-let iter t f =
-  for i = 0 to t.len - 1 do
-    f t.buf.((t.head + i) mod t.capacity)
-  done
-
-let events t =
-  let out = ref [] in
-  iter t (fun e -> out := e :: !out);
-  List.rev !out
-
-let clear t =
-  t.len <- 0;
-  t.head <- 0;
-  t.dropped <- 0
-
-(* ------------------------------------------------------------------ *)
-(* Chrome trace_event export.                                          *)
 
 let name_of = function
   | Spawn _ -> "spawn"
@@ -133,10 +84,10 @@ let chrome_of_event (e : event) =
   let dur = match dur with Some d -> [ ("dur", Json.Int d) ] | None -> [ ("s", Json.String "t") ] in
   Json.Obj (base @ dur @ [ ("args", Json.Obj (args_of e.kind)) ])
 
-let chrome_objects t =
-  let evs = List.map chrome_of_event (events t) in
+let chrome_objects events =
+  let evs = List.map chrome_of_event events in
   (* Metadata events name the virtual workers in the viewer. *)
-  let wids = List.sort_uniq compare (List.map (fun e -> e.wid) (events t)) in
+  let wids = List.sort_uniq compare (List.map (fun e -> e.wid) events) in
   let meta =
     List.map
       (fun wid ->
@@ -152,12 +103,13 @@ let chrome_objects t =
   in
   meta @ evs
 
-let to_chrome ?(other_data = []) t =
+let to_chrome ?(other_data = []) ~dropped events =
   Json.Obj
     [
-      ("traceEvents", Json.List (chrome_objects t));
+      ("traceEvents", Json.List (chrome_objects events));
       ("displayTimeUnit", Json.String "ms");
       ( "otherData",
         Json.Obj
-          ([ ("events", Json.Int t.len); ("dropped", Json.Int t.dropped) ] @ other_data) );
+          ([ ("events", Json.Int (List.length events)); ("dropped", Json.Int dropped) ]
+          @ other_data) );
     ]

@@ -1,8 +1,9 @@
-(** Structured event trace: a ring buffer of typed events stamped with
-    the simulator's virtual clock ([ts], one tick = one exported
-    microsecond) and the worker id that produced them, exportable as
+(** The structured-event vocabulary: typed events stamped with the
+    simulator's virtual clock ([ts], one tick = one exported
+    microsecond) and the worker id that produced them, rendered as
     Chrome [trace_event] JSON (load the file in [chrome://tracing] or
-    {{:https://ui.perfetto.dev}Perfetto}). *)
+    {{:https://ui.perfetto.dev}Perfetto}).  Events are recorded by
+    {!Flight}, one ring per worker; this module holds no buffer. *)
 
 type kind =
   | Spawn of { parent : int; child : int }
@@ -19,34 +20,14 @@ type kind =
 
 type event = { ts : int; wid : int; kind : kind }
 
-type t
-
-val create : ?capacity:int -> unit -> t
-(** Ring buffer holding at most [capacity] (default 2{^16}) events;
-    once full, the oldest events are overwritten (and counted in
-    {!dropped}) so the buffer keeps the tail of the run. *)
-
-val emit : t -> ts:int -> wid:int -> kind -> unit
-
-val length : t -> int
-
-val dropped : t -> int
-
-val events : t -> event list
-(** Oldest first. *)
-
-val iter : t -> (event -> unit) -> unit
-
-val clear : t -> unit
-
 val chrome_of_event : event -> Json.t
 (** One Chrome [trace_event] object: always carries [name], [cat],
     [ph], [ts], [pid], [tid] plus either [dur] (complete events:
     thread execution, the global-lock span) or [s] (instants), and an
     [args] object with the typed payload. *)
 
-val to_chrome : ?other_data:(string * Json.t) list -> t -> Json.t
+val to_chrome : ?other_data:(string * Json.t) list -> dropped:int -> event list -> Json.t
 (** The full JSON-object-format trace: [traceEvents] (worker-naming
-    metadata first, then every buffered event, oldest first) plus an
-    [otherData] section with buffer accounting and the caller's extra
-    fields. *)
+    metadata first, then the events in list order) plus an
+    [otherData] section with the event count, the recorder's
+    [dropped] count and the caller's extra fields. *)

@@ -264,10 +264,10 @@ let detect_hybrid_locked ?(seed = 1) ?(procs = 4) program =
   in
   { lock_races = Lockset.races det; racy_locs = Lockset.racy_locs det; sim }
 
-let detect_hybrid ?(seed = 1) ?(procs = 4) program =
-  let h = Spr_hybrid.Sp_hybrid.create program in
+let detect_hybrid ?(sink = Spr_obs.Sink.null) ?(seed = 1) ?(procs = 4) program =
+  let h = Spr_hybrid.Sp_hybrid.create ~sink program in
   let precedes ~executed ~current = Spr_hybrid.Sp_hybrid.precedes h ~executed ~current in
-  let det = Detector.create ~locs:(Detector.max_loc program + 1) ~precedes () in
+  let det = Detector.create ~sink ~locs:(Detector.max_loc program + 1) ~precedes () in
   let on_thread_user h ~wid:_ ~now:_ (u : Fj_program.thread) =
     let before = Detector.query_count det in
     Detector.run_thread det u;
@@ -282,7 +282,7 @@ let detect_hybrid ?(seed = 1) ?(procs = 4) program =
   let sim =
     Spr_sched.Sim.run
       ~hooks:(Spr_hybrid.Sp_hybrid.hooks ~on_thread_user h)
-      ~seed ~procs program
+      ~sink ~seed ~procs program
   in
   {
     races = Detector.races det;

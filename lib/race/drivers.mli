@@ -91,7 +91,10 @@ type hybrid_result = {
   hybrid_stats : Spr_hybrid.Sp_hybrid.stats;
 }
 
-val detect_hybrid : ?seed:int -> ?procs:int -> Spr_prog.Fj_program.t -> hybrid_result
+val detect_hybrid :
+  ?sink:Spr_obs.Sink.t -> ?seed:int -> ?procs:int -> Spr_prog.Fj_program.t -> hybrid_result
+(** Every layer — SP-hybrid, the detector and the simulator — reports
+    into [sink] (default {!Spr_obs.Sink.null}). *)
 
 type hybrid_locked_result = {
   lock_races : Lockset.race list;

@@ -314,37 +314,43 @@ let truncation_is_an_error =
       let recovers = match Server.run_string srv full with Ok _ -> true | Error _ -> false in
       truncated_ok && recovers)
 
-(* A mutant (1-3 overwritten bytes) goes through every oracle: each
-   must return the identical [Error] (same offset, frame and message)
-   or the identical per-program results, never raise, and then accept
-   the clean trace again. *)
+(* A mutant (1-3 overwritten bytes) goes through every oracle and a
+   2-shard server: each must return the identical [Error] (same
+   offset, frame and message) or the identical per-program results,
+   never raise, and then accept the clean trace again.  The sharded
+   server's worker pool is shut down once the property has run. *)
 let corruption_never_escapes =
-  let servers = resident_servers () in
-  QCheck2.Test.make ~count:200
-    ~print:(fun muts ->
-      String.concat ", " (List.map (fun (at, byte) -> Printf.sprintf "%d:=%d" at byte) muts))
-    ~name:"byte corruption yields Ok or Error, never an exception"
-    QCheck2.Gen.(list_size (1 -- 3) (pair (0 -- 1_000_000) (0 -- 255)))
-    (fun muts ->
-      let full = Lazy.force reference_trace in
-      let b = Bytes.of_string full in
-      List.iter (fun (at, byte) -> Bytes.set b (at mod String.length full) (Char.chr byte)) muts;
-      let mutant = Bytes.to_string b in
-      let outcomes =
-        List.map
-          (fun (_, srv) ->
-            match Server.run_string srv mutant with
-            | r -> Some r
-            | exception _ -> None)
-          servers
-      in
-      let first = List.hd outcomes in
-      first <> None
-      && List.for_all (( = ) first) outcomes
-      (* And again: no lingering poisoned state. *)
-      && List.for_all
-           (fun (_, srv) -> match Server.run_string srv full with Ok _ -> true | Error _ -> false)
-           servers)
+  let sharded = Server.create ~shards:2 ~batch:16 () in
+  let servers = resident_servers () @ [ (Server.Sp_fused, sharded) ] in
+  let name, speed, run =
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~count:200
+         ~print:(fun muts ->
+           String.concat ", " (List.map (fun (at, byte) -> Printf.sprintf "%d:=%d" at byte) muts))
+         ~name:"byte corruption yields Ok or Error, never an exception"
+         QCheck2.Gen.(list_size (1 -- 3) (pair (0 -- 1_000_000) (0 -- 255)))
+         (fun muts ->
+           let full = Lazy.force reference_trace in
+           let b = Bytes.of_string full in
+           List.iter (fun (at, byte) -> Bytes.set b (at mod String.length full) (Char.chr byte)) muts;
+           let mutant = Bytes.to_string b in
+           let outcomes =
+             List.map
+               (fun (_, srv) ->
+                 match Server.run_string srv mutant with
+                 | r -> Some r
+                 | exception _ -> None)
+               servers
+           in
+           let first = List.hd outcomes in
+           first <> None
+           && List.for_all (( = ) first) outcomes
+           (* And again: no lingering poisoned state. *)
+           && List.for_all
+                (fun (_, srv) -> match Server.run_string srv full with Ok _ -> true | Error _ -> false)
+                servers))
+  in
+  (name, speed, fun () -> Fun.protect ~finally:(fun () -> Server.close sharded) run)
 
 let diagnostics_locate_the_frame () =
   with_server (fun srv ->
@@ -537,6 +543,6 @@ let () =
         [
           Alcotest.test_case "diagnostics locate the frame" `Quick diagnostics_locate_the_frame;
           QCheck_alcotest.to_alcotest truncation_is_an_error;
-          QCheck_alcotest.to_alcotest corruption_never_escapes;
+          corruption_never_escapes;
         ] );
     ]

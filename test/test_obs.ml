@@ -1,8 +1,8 @@
 (* Unit tests for the observability layer (spr_obs): the JSON printer,
-   the metrics registry, the trace ring buffer and its Chrome
-   trace_event export, and the sink plumbing — including an end-to-end
-   run of the simulator + SP-hybrid that validates the schema of every
-   exported event. *)
+   the metrics registry, the Chrome trace_event export, the sink
+   plumbing and the flight recorder (the one event ring) — including an
+   end-to-end run of the simulator + SP-hybrid recorded into per-worker
+   flight lanes that validates the schema of every exported event. *)
 
 open Spr_obs
 
@@ -142,25 +142,7 @@ let metrics_json_and_quantiles () =
   | None -> Alcotest.fail "histogram missing from JSON"
 
 (* ------------------------------------------------------------------ *)
-(* Trace ring buffer                                                   *)
-
-let trace_ring () =
-  let t = Trace.create ~capacity:4 () in
-  for i = 1 to 6 do
-    Trace.emit t ~ts:i ~wid:0 (Trace.Sync { frame = i })
-  done;
-  Alcotest.(check int) "length capped" 4 (Trace.length t);
-  Alcotest.(check int) "dropped counted" 2 (Trace.dropped t);
-  (* The buffer keeps the tail of the run, oldest first. *)
-  let frames =
-    List.map
-      (fun e -> match e.Trace.kind with Trace.Sync { frame } -> frame | _ -> -1)
-      (Trace.events t)
-  in
-  Alcotest.(check (list int)) "keeps the tail" [ 3; 4; 5; 6 ] frames;
-  Trace.clear t;
-  Alcotest.(check int) "clear empties" 0 (Trace.length t);
-  Alcotest.(check int) "clear resets dropped" 0 (Trace.dropped t)
+(* Chrome trace_event export                                           *)
 
 (* Every exported trace_event must carry the Chrome-required fields;
    complete events ("ph":"X") additionally carry a duration, instants
@@ -214,9 +196,8 @@ let trace_chrome_schema () =
   Alcotest.(check int) "lock dur = wait+hold" 5 (dur (Trace.Lock_span { wait = 2; hold = 3 }))
 
 let trace_to_chrome () =
-  let t = Trace.create () in
-  List.iteri (fun i kind -> Trace.emit t ~ts:i ~wid:(i mod 3) kind) all_kinds;
-  let j = Trace.to_chrome ~other_data:[ ("workload", Json.String "unit") ] t in
+  let events = List.mapi (fun i kind -> { Trace.ts = i; wid = i mod 3; kind }) all_kinds in
+  let j = Trace.to_chrome ~other_data:[ ("workload", Json.String "unit") ] ~dropped:5 events in
   (match Json.member "traceEvents" j with
   | Some (Json.List evs) ->
       Alcotest.(check bool) "metadata + events" true (List.length evs > List.length all_kinds);
@@ -226,7 +207,9 @@ let trace_to_chrome () =
   | Some od ->
       Alcotest.(check bool) "caller data kept" true
         (Json.member "workload" od = Some (Json.String "unit"));
-      Alcotest.(check bool) "event accounting" true (Json.member "events" od <> None)
+      Alcotest.(check bool) "event count" true
+        (Json.member "events" od = Some (Json.Int (List.length all_kinds)));
+      Alcotest.(check bool) "drop count" true (Json.member "dropped" od = Some (Json.Int 5))
   | None -> Alcotest.fail "otherData missing"
 
 (* ------------------------------------------------------------------ *)
@@ -238,20 +221,26 @@ let sink_plumbing () =
   Sink.set_context Sink.null ~now:99 ~wid:3;
   Sink.emit Sink.null (Trace.Sync { frame = 0 });
   Alcotest.(check int) "null clock untouched" 0 (Sink.now Sink.null);
-  let t = Trace.create () in
+  let f = Flight.create ~lanes:3 () in
   let m = Metrics.create () in
-  let s = Sink.make ~trace:t ~metrics:m () in
+  let s = Sink.make ~metrics:m ~flight:f () in
   Alcotest.(check bool) "live sink" false (Sink.is_null s);
   Alcotest.(check bool) "metrics exposed" true (Sink.metrics s = Some m);
   Sink.set_context s ~now:42 ~wid:2;
   Sink.emit s (Trace.Sync { frame = 1 });
-  Sink.emit_at s ~ts:7 ~wid:0 (Trace.Sync { frame = 2 });
-  match Trace.events t with
+  Sink.emit_om_relabel s ~om:"eng" ~moved:3;
+  (* Both emits land in the lane of the context's worker id. *)
+  Alcotest.(check int) "lane 0 empty" 0 (Flight.lane_length f 0);
+  Alcotest.(check int) "lane 1 empty" 0 (Flight.lane_length f 1);
+  match Flight.lane_events f 2 with
   | [ a; b ] ->
       Alcotest.(check int) "context ts" 42 a.Trace.ts;
       Alcotest.(check int) "context wid" 2 a.Trace.wid;
-      Alcotest.(check int) "explicit ts" 7 b.Trace.ts
-  | _ -> Alcotest.fail "expected exactly two events"
+      Alcotest.(check bool) "typed payload" true (a.Trace.kind = Trace.Sync { frame = 1 });
+      Alcotest.(check bool)
+        "typed emitter payload" true
+        (b.Trace.kind = Trace.Om_relabel { om = "eng"; moved = 3 })
+  | _ -> Alcotest.fail "expected exactly two events in lane 2"
 
 (* ------------------------------------------------------------------ *)
 (* Sharded counters: exact totals, single-domain parity                *)
@@ -380,7 +369,8 @@ let flight_ring () =
   in
   Alcotest.(check (list int)) "tail, oldest first" [ 12; 13; 14; 15; 16; 17; 18; 19 ] frames;
   Flight.clear f;
-  Alcotest.(check int) "clear empties" 0 (Flight.lane_length f 0)
+  Alcotest.(check int) "clear empties" 0 (Flight.lane_length f 0);
+  Alcotest.(check int) "clear resets dropped" 0 (Flight.lane_dropped f 0)
 
 let flight_roundtrip () =
   let f = Flight.create ~lanes:3 ~capacity:16 () in
@@ -416,6 +406,35 @@ let flight_roundtrip () =
   (* Truncation and bad magic are Failure, not crashes. *)
   Alcotest.check_raises "bad magic" (Failure "Flight: bad magic (not a .spr-flight file)")
     (fun () -> ignore (Flight.of_bytes "XXXXXXXXXXXXXXXX"))
+
+(* qcheck: a 1-3-byte mutant of a dump image either decodes or raises
+   [Failure] — never [Invalid_argument] from a corrupted count sizing
+   an allocation, nor any other exception.  The dump's counterpart of
+   the ingest decoder's corruption property. *)
+let flight_image =
+  lazy
+    (let f = Flight.create ~lanes:2 ~capacity:2 () in
+     (* Negative fields encode as 10-byte varints, so a count byte
+        mutated to continue into one decodes negative; lane 0 wraps. *)
+     Flight.emit f ~lane:0 ~ts:(-1) ~wid:(-1) (Trace.Spawn { parent = -1; child = -2 });
+     Flight.emit f ~lane:1 ~ts:(-3) ~wid:1 (Trace.Om_relabel { om = "eng"; moved = -4 });
+     Flight.emit f ~lane:0 ~ts:(-5) ~wid:0 (Trace.Sync { frame = -6 });
+     Flight.emit f ~lane:0 ~ts:(-7) ~wid:0 (Trace.Race_query { tid = -8; queries = 1 });
+     Flight.to_bytes ~snapshot:(Json.Obj [ ("om/inserts", Json.Int (-1)) ]) f)
+
+let flight_corruption_is_a_failure =
+  QCheck2.Test.make ~count:5000
+    ~print:(fun muts ->
+      String.concat ", " (List.map (fun (at, byte) -> Printf.sprintf "%d:=%d" at byte) muts))
+    ~name:"flight: corrupted dump decodes or raises Failure"
+    QCheck2.Gen.(list_size (1 -- 3) (pair (0 -- 1_000_000) (0 -- 255)))
+    (fun muts ->
+      let image = Lazy.force flight_image in
+      let b = Bytes.of_string image in
+      List.iter (fun (at, byte) -> Bytes.set b (at mod String.length image) (Char.chr byte)) muts;
+      match Flight.of_bytes (Bytes.to_string b) with
+      | _ -> true
+      | exception Failure _ -> true)
 
 (* qcheck: N domains each own one lane and emit M events concurrently;
    every decoded event is untorn (payload satisfies c = a lxor b) and
@@ -484,20 +503,22 @@ let prom_render () =
 (* End to end: simulator + SP-hybrid under a recording sink            *)
 
 let end_to_end () =
-  let t = Trace.create () in
+  let procs = 4 in
+  let flight = Flight.create ~lanes:procs ~capacity:4096 () in
   let m = Metrics.create () in
-  let sink = Sink.make ~trace:t ~metrics:m () in
+  let sink = Sink.make ~metrics:m ~flight () in
   let p = Spr_workloads.Progs.fib ~n:8 ~cost:3 () in
   let h = Spr_hybrid.Sp_hybrid.create ~sink p in
-  let res = Spr_sched.Sim.run ~hooks:(Spr_hybrid.Sp_hybrid.hooks h) ~sink ~seed:1 ~procs:4 p in
-  Alcotest.(check bool) "events recorded" true (Trace.length t > 0);
-  (* Every buffered event passes the Chrome schema check once exported. *)
-  (match Trace.to_chrome t with
-  | Json.Obj _ as j -> (
-      match Json.member "traceEvents" j with
-      | Some (Json.List evs) -> List.iter (check_chrome_event ~meta_ok:true) evs
-      | _ -> Alcotest.fail "traceEvents missing")
-  | _ -> Alcotest.fail "to_chrome should build an object");
+  let res = Spr_sched.Sim.run ~hooks:(Spr_hybrid.Sp_hybrid.hooks h) ~sink ~seed:1 ~procs p in
+  let lanes = List.init procs Fun.id in
+  let events = List.concat_map (Flight.lane_events flight) lanes in
+  Alcotest.(check bool) "events recorded" true (events <> []);
+  Alcotest.(check int) "nothing dropped" 0
+    (List.fold_left (fun acc l -> acc + Flight.lane_dropped flight l) 0 lanes);
+  (* Every recorded event passes the Chrome schema check once exported. *)
+  (match Json.member "traceEvents" (Trace.to_chrome ~dropped:0 events) with
+  | Some (Json.List evs) -> List.iter (check_chrome_event ~meta_ok:true) evs
+  | _ -> Alcotest.fail "traceEvents missing");
   (* Counters agree with the simulator's own accounting, and Theorem
      2's trace structure shows as steals == splits. *)
   let counter key =
@@ -510,11 +531,9 @@ let end_to_end () =
   Alcotest.(check int) "steal = split" (counter "sched/steals") (counter "hybrid/splits");
   let stolen =
     List.length
-      (List.filter
-         (fun e -> match e.Trace.kind with Trace.Steal _ -> true | _ -> false)
-         (Trace.events t))
+      (List.filter (fun e -> match e.Trace.kind with Trace.Steal _ -> true | _ -> false) events)
   in
-  Alcotest.(check int) "steal events buffered" res.Spr_sched.Sim.steals stolen
+  Alcotest.(check int) "steal events recorded" res.Spr_sched.Sim.steals stolen
 
 let () =
   Alcotest.run "spr_obs"
@@ -532,7 +551,6 @@ let () =
         ] );
       ( "trace",
         [
-          Alcotest.test_case "ring buffer" `Quick trace_ring;
           Alcotest.test_case "chrome schema" `Quick trace_chrome_schema;
           Alcotest.test_case "to_chrome" `Quick trace_to_chrome;
         ] );
@@ -552,6 +570,7 @@ let () =
         [
           Alcotest.test_case "ring wraparound" `Quick flight_ring;
           Alcotest.test_case "dump roundtrip" `Quick flight_roundtrip;
+          QCheck_alcotest.to_alcotest flight_corruption_is_a_failure;
           QCheck_alcotest.to_alcotest flight_concurrent_lanes;
         ] );
       ("prom", [ Alcotest.test_case "text exposition" `Quick prom_render ]);
