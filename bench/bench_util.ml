@@ -31,12 +31,16 @@ let note fmt = Printf.printf fmt
 let growth_factor first last = if first <= 0.0 then infinity else last /. first
 
 (* Observability sink the experiments route their simulator runs and OM
-   counters through.  Null (free) by default; [main.ml] arms it with the
-   process-wide registry under [--metrics json] and snapshots it between
-   experiments, so each experiment's JSON carries only its own window. *)
+   counters through.  Null (free) by default; [main.ml] arms it with
+   [metrics] under [--metrics json] and snapshots it between
+   experiments, so each experiment's JSON carries only its own window.
+   [metrics] is a fresh registry, not [Sharded.default], so the JSON
+   holds only what the experiments record. *)
 let sink = ref Spr_obs.Sink.null
 
-let enable_metrics () = sink := Spr_obs.Sink.make ~metrics:Spr_obs.Metrics.default ()
+let metrics = Spr_obs.Sharded.create ()
+
+let enable_metrics () = sink := Spr_obs.Sink.make ~metrics ()
 
 (* Counter value out of the live registry, for experiments that check
    their table columns against the measured counters. *)
@@ -44,6 +48,6 @@ let counter_value key =
   match Spr_obs.Sink.metrics !sink with
   | None -> None
   | Some m -> (
-      match List.assoc_opt key (Spr_obs.Metrics.snapshot m) with
+      match List.assoc_opt key (Spr_obs.Sharded.snapshot m) with
       | Some (Spr_obs.Metrics.C n) -> Some n
       | _ -> Some 0)

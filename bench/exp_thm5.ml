@@ -54,11 +54,11 @@ let run () =
           (match Spr_obs.Sink.metrics !Bench_util.sink with
           | None -> ()
           | Some m ->
-              Spr_obs.Metrics.add (Spr_obs.Metrics.counter m "om/inserts") st.inserts;
-              Spr_obs.Metrics.add
-                (Spr_obs.Metrics.counter m "om/relabel_passes")
+              Spr_obs.Sharded.add (Spr_obs.Sharded.counter m "om/inserts") st.inserts;
+              Spr_obs.Sharded.add
+                (Spr_obs.Sharded.counter m "om/relabel_passes")
                 st.relabel_passes;
-              Spr_obs.Metrics.add (Spr_obs.Metrics.counter m "om/items_moved") st.items_moved);
+              Spr_obs.Sharded.add (Spr_obs.Sharded.counter m "om/items_moved") st.items_moved);
           T.add_row tbl
             [
               fname;

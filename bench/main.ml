@@ -36,7 +36,7 @@ let list_experiments () =
   List.iter (fun (k, d, _) -> Printf.printf "  %-10s %s\n" k d) experiments
 
 (* Per-experiment metric snapshots under --metrics json: diff the
-   process-wide registry around each experiment so the emitted object
+   bench registry around each experiment so the emitted object
    attributes counters (relabels, steals, splits, lock waits) to the
    experiment that produced them. *)
 let snapshots : (string * Spr_obs.Metrics.snapshot) list ref = ref []
@@ -44,9 +44,9 @@ let snapshots : (string * Spr_obs.Metrics.snapshot) list ref = ref []
 let run_experiment ~metrics (key, _, f) =
   if not metrics then f ()
   else begin
-    let before = Spr_obs.Metrics.snapshot Spr_obs.Metrics.default in
+    let before = Spr_obs.Sharded.snapshot Bench_util.metrics in
     f ();
-    let after = Spr_obs.Metrics.snapshot Spr_obs.Metrics.default in
+    let after = Spr_obs.Sharded.snapshot Bench_util.metrics in
     snapshots := (key, Spr_obs.Metrics.diff after before) :: !snapshots
   end
 

@@ -60,16 +60,16 @@ let say quiet fmt =
 
 let flight_lanes = 8
 
-let final_snapshot metrics =
-  (* Registry instruments plus the process-wide domain-sharded
-     counters (concurrent-OM query/retry, runtime steal/park); both
-     sides are sorted by key and the key spaces are disjoint. *)
-  List.merge compare
-    (Spr_obs.Metrics.snapshot metrics)
-    (Spr_obs.Sharded.metrics_snapshot Spr_obs.Sharded.default)
+(* The process-wide registry: the sinks below record into it, beside
+   the concurrent-OM query/retry counters. *)
+let metrics = Spr_obs.Sharded.default
 
-let post_mortem ~metrics ~flight ~flight_out =
-  let snapshot = Spr_obs.Metrics.snapshot_to_json (final_snapshot metrics) in
+let metrics_json () = Spr_obs.Metrics.snapshot_to_json (Spr_obs.Sharded.snapshot metrics)
+
+let pp_metrics ppf () = Spr_obs.Metrics.pp_snapshot ppf (Spr_obs.Sharded.snapshot metrics)
+
+let post_mortem ~flight ~flight_out =
+  let snapshot = metrics_json () in
   Format.printf "final metrics snapshot: %s@." (Spr_obs.Json.to_string snapshot);
   Spr_obs.Flight.write_file ~snapshot flight flight_out;
   let recent = ref 0 and total = ref 0 in
@@ -184,7 +184,6 @@ let run_sched ~sched ~seed ~iters ~depth ~inject ~smoke ~quiet ~metrics_fmt ~fli
   | "replay" | "pct" | "dfs" -> ()
   | other -> usage_error "scheduler" other [ "replay"; "pct"; "dfs" ]);
   ignore quiet;
-  let metrics = Spr_obs.Metrics.create () in
   let flight = Spr_obs.Flight.create ~lanes:flight_lanes () in
   let sink = Spr_obs.Sink.make ~metrics ~flight () in
   let iters = if smoke then min iters (if sched = "dfs" then 6 else 40) else iters in
@@ -270,18 +269,18 @@ let run_sched ~sched ~seed ~iters ~depth ~inject ~smoke ~quiet ~metrics_fmt ~fli
           structures
       end
   done;
-  Spr_obs.Metrics.add (Spr_obs.Metrics.counter metrics "schedtest/schedules") totals.Explore.schedules;
-  Spr_obs.Metrics.add (Spr_obs.Metrics.counter metrics "schedtest/pruned") totals.Explore.pruned;
-  Spr_obs.Metrics.set
-    (Spr_obs.Metrics.gauge metrics "schedtest/max_depth")
+  Spr_obs.Sharded.add (Spr_obs.Sharded.counter metrics "schedtest/schedules") totals.Explore.schedules;
+  Spr_obs.Sharded.add (Spr_obs.Sharded.counter metrics "schedtest/pruned") totals.Explore.pruned;
+  Spr_obs.Sharded.set
+    (Spr_obs.Sharded.gauge metrics "schedtest/max_depth")
     (float_of_int totals.Explore.max_depth);
   if !failed then begin
-    post_mortem ~metrics ~flight ~flight_out;
+    post_mortem ~flight ~flight_out;
     1
   end
   else begin
     (match metrics_fmt with
-    | Some "json" -> print_endline (Spr_obs.Json.to_string (Spr_obs.Metrics.to_json metrics))
+    | Some "json" -> print_endline (Spr_obs.Json.to_string (metrics_json ()))
     | fmt ->
         Printf.printf
           "spfuzz: OK — sched %s: %d scripts x %d structures, %d schedules explored, %d pruned, max depth %d%s, digest %016Lx\n"
@@ -289,7 +288,7 @@ let run_sched ~sched ~seed ~iters ~depth ~inject ~smoke ~quiet ~metrics_fmt ~fli
           totals.Explore.max_depth
           (if totals.Explore.truncated then " (budget-truncated)" else "")
           !digest;
-        if fmt <> None then Format.printf "%a" Spr_obs.Metrics.pp metrics);
+        if fmt <> None then Format.printf "%a" pp_metrics ());
     0
   end
 
@@ -331,7 +330,6 @@ let run mode seed iters max_threads schedules algo inject sched depth smoke quie
   (* Metrics and the flight recorder are always armed; --metrics only
      controls whether the success path prints the registry (pure JSON
      on stdout for --metrics json). *)
-  let metrics = Spr_obs.Metrics.create () in
   let flight = Spr_obs.Flight.create ~lanes:flight_lanes () in
   let sink = Spr_obs.Sink.make ~metrics ~flight () in
   let quiet = quiet || metrics_fmt = Some "json" in
@@ -366,12 +364,12 @@ let run mode seed iters max_threads schedules algo inject sched depth smoke quie
         Format.printf "replay: spfuzz --mode om --seed %d --iters %d@." cfg.F.seed (f.F.om_iter + 1)
   end;
   if !failed then begin
-    post_mortem ~metrics ~flight ~flight_out;
+    post_mortem ~flight ~flight_out;
     1
   end
   else begin
     (match metrics_fmt with
-    | Some "json" -> print_endline (Spr_obs.Json.to_string (Spr_obs.Metrics.to_json metrics))
+    | Some "json" -> print_endline (Spr_obs.Json.to_string (metrics_json ()))
     | fmt ->
         Printf.printf
           "spfuzz: OK — %d program iterations (%d maintainers + %d cross-checks), %d HB triples (%d clock oracles vs sp-order-fused), %d script iterations (%d OM structures + %d cross-checks), 0 divergences\n"
@@ -381,7 +379,7 @@ let run mode seed iters max_threads schedules algo inject sched depth smoke quie
           (List.length cfg.F.hb_algos)
           !om_checked (List.length cfg.F.om_suts)
           (List.length cfg.F.om_pairs);
-        if fmt <> None then Format.printf "%a" Spr_obs.Metrics.pp metrics);
+        if fmt <> None then Format.printf "%a" pp_metrics ());
     0
   end
 

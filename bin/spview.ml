@@ -31,6 +31,10 @@ let with_usage f =
     Printf.eprintf "spview: %s\n" msg;
     1
 
+(* Sim.run and Runtime.run raise [Invalid_argument] on fewer workers. *)
+let check_workers flag n =
+  if n < 1 then raise (Usage (Printf.sprintf "%s must be at least 1 (got %d)" flag n))
+
 (* ------------------------------------------------------------------ *)
 (* tree                                                                *)
 
@@ -76,6 +80,8 @@ let size_arg =
   Arg.(value & opt int 16 & info [ "size"; "n" ] ~docv:"N" ~doc:"Generator size parameter.")
 
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
+
+let procs_arg = Arg.(value & opt int 4 & info [ "procs"; "p" ] ~docv:"P" ~doc:"Workers.")
 
 let tree_cmd =
   let labels = Arg.(value & flag & info [ "labels" ] ~doc:"Print English/Hebrew orders.") in
@@ -152,6 +158,7 @@ let detect_cmd =
 
 let hybrid_cmd_run kind size seed procs =
   with_usage @@ fun () ->
+  check_workers "--procs" procs;
   let p = gen_workload kind size seed in
   Format.printf "workload: %a@." Spr_prog.Fj_program.pp_stats p;
   let h = Spr_hybrid.Sp_hybrid.create p in
@@ -169,25 +176,25 @@ let hybrid_cmd_run kind size seed procs =
   0
 
 let hybrid_cmd =
-  let procs = Arg.(value & opt int 4 & info [ "procs"; "p" ] ~docv:"P" ~doc:"Workers.") in
   Cmd.v
     (Cmd.info "hybrid" ~doc:"Simulate SP-hybrid under work stealing")
-    Term.(const hybrid_cmd_run $ workload_arg $ size_arg $ seed_arg $ procs)
+    Term.(const hybrid_cmd_run $ workload_arg $ size_arg $ seed_arg $ procs_arg)
 
 (* ------------------------------------------------------------------ *)
 (* trace — record a run through the observability layer               *)
 
 let trace_cmd_run kind size seed procs out metrics_fmt =
   with_usage @@ fun () ->
+  check_workers "--procs" procs;
   (match metrics_fmt with
   | "pretty" | "json" -> ()
   | other -> usage_error "metrics format" other [ "pretty"; "json" ]);
   let p = gen_workload kind size seed in
   (* One flight lane per worker; the lanes share a 2^16-event budget. *)
   let flight =
-    Spr_obs.Flight.create ~lanes:procs ~capacity:(max 512 ((1 lsl 16) / max 1 procs)) ()
+    Spr_obs.Flight.create ~lanes:procs ~capacity:(max 512 ((1 lsl 16) / procs)) ()
   in
-  let m = Spr_obs.Metrics.create () in
+  let m = Spr_obs.Sharded.create () in
   let sink = Spr_obs.Sink.make ~metrics:m ~flight () in
   let r = Spr_race.Drivers.detect_hybrid ~sink ~seed ~procs p in
   let lanes = List.init (Spr_obs.Flight.lanes flight) Fun.id in
@@ -210,17 +217,17 @@ let trace_cmd_run kind size seed procs out metrics_fmt =
   Spr_obs.Json.to_channel oc (Spr_obs.Trace.to_chrome ~other_data ~dropped events);
   output_char oc '\n';
   close_out oc;
+  let snapshot = Spr_obs.Sharded.snapshot m in
   (match metrics_fmt with
-  | "json" -> print_endline (Spr_obs.Json.to_string (Spr_obs.Metrics.to_json m))
+  | "json" -> print_endline (Spr_obs.Json.to_string (Spr_obs.Metrics.snapshot_to_json snapshot))
   | _ ->
       Format.printf
         "wrote %s: %d events (%d dropped) — load in chrome://tracing or ui.perfetto.dev@."
         out (List.length events) dropped;
-      Format.printf "%a" Spr_obs.Metrics.pp m);
+      Format.printf "%a" Spr_obs.Metrics.pp_snapshot snapshot);
   0
 
 let trace_cmd =
-  let procs = Arg.(value & opt int 4 & info [ "procs"; "p" ] ~docv:"P" ~doc:"Workers.") in
   let out =
     Arg.(
       value & opt string "trace.json"
@@ -234,13 +241,14 @@ let trace_cmd =
   Cmd.v
     (Cmd.info "trace"
        ~doc:"Record an instrumented SP-hybrid run as Chrome trace_event JSON plus metrics")
-    Term.(const trace_cmd_run $ workload_arg $ size_arg $ seed_arg $ procs $ out $ metrics_fmt)
+    Term.(const trace_cmd_run $ workload_arg $ size_arg $ seed_arg $ procs_arg $ out $ metrics_fmt)
 
 (* ------------------------------------------------------------------ *)
 (* runtime — the same instrumented execution, on real domains          *)
 
 let runtime_cmd_run kind size seed procs spin =
   with_usage @@ fun () ->
+  check_workers "--workers" procs;
   let p = gen_workload kind size seed in
   Format.printf "workload: %a@." Spr_prog.Fj_program.pp_stats p;
   let h = Spr_hybrid.Sp_hybrid.create p in
@@ -295,30 +303,24 @@ let stats_cmd_run kind size seed procs fmt flight_file =
       | Some j -> Format.printf "metrics snapshot: %s@." (Spr_obs.Json.to_string j));
       0
   | None ->
-      (* Live run: the same instrumented assembly as `spview trace`
-         (SP-hybrid + race detector under the simulator, all layers
-         reporting into one sink), then one merged snapshot — registry
-         instruments plus the process-wide domain-sharded counters
-         (concurrent-OM queries/retries, runtime steals/parks). *)
+      (* Live run: the instrumented assembly of `spview trace`, recorded
+         into the process-wide registry beside the concurrent-OM and
+         runtime counters. *)
+      check_workers "--procs" procs;
       let p = gen_workload kind size seed in
-      let m = Spr_obs.Metrics.create () in
-      let sink = Spr_obs.Sink.make ~metrics:m () in
+      let sink = Spr_obs.Sink.make ~metrics:Spr_obs.Sharded.default () in
       ignore (Spr_race.Drivers.detect_hybrid ~sink ~seed ~procs p);
-      let merged =
-        List.merge compare (Spr_obs.Metrics.snapshot m)
-          (Spr_obs.Sharded.metrics_snapshot Spr_obs.Sharded.default)
-      in
+      let snapshot = Spr_obs.Sharded.snapshot Spr_obs.Sharded.default in
       (match fmt with
-      | "prom" -> print_string (Spr_obs.Prom.render merged)
+      | "prom" -> print_string (Spr_obs.Prom.render snapshot)
       | "json" ->
-          print_endline (Spr_obs.Json.to_string (Spr_obs.Metrics.snapshot_to_json merged))
+          print_endline (Spr_obs.Json.to_string (Spr_obs.Metrics.snapshot_to_json snapshot))
       | _ ->
           Format.printf "stats: %s n=%d seed=%d procs=%d@." kind size seed procs;
-          Format.printf "%a" Spr_obs.Metrics.pp_snapshot merged);
+          Format.printf "%a" Spr_obs.Metrics.pp_snapshot snapshot);
       0
 
 let stats_cmd =
-  let procs = Arg.(value & opt int 4 & info [ "procs"; "p" ] ~docv:"P" ~doc:"Workers.") in
   let fmt =
     Arg.(
       value & opt string "pretty"
@@ -341,7 +343,7 @@ let stats_cmd =
        ~doc:
          "Run an instrumented workload and print the merged metrics snapshot (registry + \
           domain-sharded counters), or decode a .spr-flight dump")
-    Term.(const stats_cmd_run $ workload_arg $ size_arg $ seed_arg $ procs $ fmt $ flight_file)
+    Term.(const stats_cmd_run $ workload_arg $ size_arg $ seed_arg $ procs_arg $ fmt $ flight_file)
 
 (* ------------------------------------------------------------------ *)
 

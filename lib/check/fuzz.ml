@@ -93,7 +93,7 @@ let iter_rng cfg i = Rng.create ((cfg.seed * 1_000_003) + i)
 let count cfg key =
   match Spr_obs.Sink.metrics cfg.sink with
   | None -> ()
-  | Some m -> Spr_obs.Metrics.incr (Spr_obs.Metrics.counter m key)
+  | Some m -> Spr_obs.Sharded.incr (Spr_obs.Sharded.counter m key)
 
 let progress cfg i what =
   let every = max 1 (cfg.iters / 10) in

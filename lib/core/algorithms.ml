@@ -1,14 +1,5 @@
 let sp_order tree = Sp_maintainer.Instance ((module Sp_order), Sp_order.create tree)
 
-module Sp_order_packed = struct
-  include Sp_order_generic.Make (Spr_om.Om_packed)
-
-  let name = "sp-order-packed"
-end
-
-let sp_order_packed tree =
-  Sp_maintainer.Instance ((module Sp_order_packed), Sp_order_packed.create tree)
-
 let sp_order_implicit tree =
   Sp_maintainer.Instance ((module Sp_order_implicit), Sp_order_implicit.create tree)
 
@@ -69,7 +60,6 @@ let all =
       ("sp-order-fused", sp_order_fused);
       ("hb-vector", hb_vector);
       ("hb-tree", hb_tree);
-      ("sp-order-packed", sp_order_packed);
       ("sp-order-implicit", sp_order_implicit);
       ("sp-bags-norank", sp_bags_no_compression);
       ("lca-reference", lca_reference);

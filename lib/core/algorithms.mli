@@ -5,11 +5,6 @@
 
 val sp_order : Spr_sptree.Sp_tree.t -> Sp_maintainer.instance
 
-val sp_order_packed : Spr_sptree.Sp_tree.t -> Sp_maintainer.instance
-(** SP-order on the packed struct-of-arrays OM backend
-    ({!Spr_om.Om_packed}): same algorithm and answers as {!sp_order},
-    allocation-free OM hot paths. *)
-
 val sp_order_implicit : Spr_sptree.Sp_tree.t -> Sp_maintainer.instance
 (** SP-order with the English order kept implicitly (paper,
     footnote 2): one OM structure instead of two; thread queries

@@ -118,10 +118,10 @@ let hooks ?on_thread_user t =
     (match Spr_obs.Sink.metrics t.sink with
     | None -> ()
     | Some m ->
-        Spr_obs.Metrics.incr (Spr_obs.Metrics.counter m "hybrid/splits");
-        Spr_obs.Metrics.add (Spr_obs.Metrics.counter m "hybrid/lock_wait_ticks") wait;
-        Spr_obs.Metrics.add (Spr_obs.Metrics.counter m "hybrid/global_insert_ticks") hold;
-        Spr_obs.Metrics.observe (Spr_obs.Metrics.histogram m "hybrid/lock_wait") wait);
+        Spr_obs.Sharded.incr (Spr_obs.Sharded.counter m "hybrid/splits");
+        Spr_obs.Sharded.add (Spr_obs.Sharded.counter m "hybrid/lock_wait_ticks") wait;
+        Spr_obs.Sharded.add (Spr_obs.Sharded.counter m "hybrid/global_insert_ticks") hold;
+        Spr_obs.Sharded.observe (Spr_obs.Sharded.histogram m "hybrid/lock_wait") wait);
     s.cur <- u4;
     (* The first steal in a block is the outermost: its U5 is the trace
        of whatever follows the join (inner splits' U5 stay unused,

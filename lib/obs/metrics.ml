@@ -1,68 +1,20 @@
-(* Typed, hierarchical metrics registry.
+(* Metric snapshots and their renderers.
 
-   Every instrument is keyed by a "subsystem/name" path ("om/inserts",
-   "sched/steals"): the pretty renderer groups on the part before the
-   first '/', the JSON renderer keeps the flat key.  Renders are sorted
-   by key so output is deterministic regardless of registration or
-   hashing order. *)
+   The cells live in [Sharded]; this module holds the histogram bucket
+   scheme, the frozen value a registry snapshot yields — a key-sorted
+   association list — plus [diff] and the pretty and JSON renderers.  Every key is a
+   "subsystem/name" path ("om/inserts", "sched/steals"): the pretty
+   renderer groups on the part before the first '/', the JSON renderer
+   keeps the flat key.  Snapshots are sorted by key, so output is
+   deterministic regardless of registration or hashing order. *)
 
-type counter = { mutable c : int }
-
-type gauge = { mutable g : float }
+(* ------------------------------------------------------------------ *)
+(* Snapshots.                                                          *)
 
 (* Log-scale histogram of non-negative integer samples: bucket [i]
    counts samples with floor(lg v) = i (bucket 0 takes 0 and 1).  62
    buckets cover the whole OCaml int range. *)
 let hist_buckets = 62
-
-type histogram = {
-  mutable hcount : int;
-  mutable hsum : int;
-  mutable hmax : int;
-  hbuckets : int array;
-}
-
-type instrument = Counter of counter | Gauge of gauge | Histogram of histogram
-
-type t = { tbl : (string, instrument) Hashtbl.t }
-
-let create () = { tbl = Hashtbl.create 32 }
-
-(* Process-wide registry: the bench harness and CLIs record here when
-   no explicit registry is supplied. *)
-let default = create ()
-
-let find_or_add t key make =
-  match Hashtbl.find_opt t.tbl key with
-  | Some i -> i
-  | None ->
-      let i = make () in
-      Hashtbl.add t.tbl key i;
-      i
-
-let counter t key =
-  match find_or_add t key (fun () -> Counter { c = 0 }) with
-  | Counter c -> c
-  | _ -> invalid_arg (Printf.sprintf "Metrics.counter: %S is not a counter" key)
-
-let gauge t key =
-  match find_or_add t key (fun () -> Gauge { g = 0.0 }) with
-  | Gauge g -> g
-  | _ -> invalid_arg (Printf.sprintf "Metrics.gauge: %S is not a gauge" key)
-
-let histogram t key =
-  match
-    find_or_add t key (fun () ->
-        Histogram { hcount = 0; hsum = 0; hmax = 0; hbuckets = Array.make hist_buckets 0 })
-  with
-  | Histogram h -> h
-  | _ -> invalid_arg (Printf.sprintf "Metrics.histogram: %S is not a histogram" key)
-
-let add c n = c.c <- c.c + n
-
-let incr c = add c 1
-
-let set g v = g.g <- v
 
 let bucket_of v =
   if v <= 1 then 0
@@ -71,48 +23,11 @@ let bucket_of v =
     min (hist_buckets - 1) (go 1)
   end
 
-let observe h v =
-  let v = max 0 v in
-  h.hcount <- h.hcount + 1;
-  h.hsum <- h.hsum + v;
-  if v > h.hmax then h.hmax <- v;
-  let i = bucket_of v in
-  h.hbuckets.(i) <- h.hbuckets.(i) + 1
-
-(* Representative value of bucket [i] for quantile estimation: the
-   midpoint of [2^i, 2^(i+1)) — log-scale histograms only ever give
-   approximate quantiles. *)
-let bucket_repr i = if i = 0 then 1.0 else 1.5 *. float_of_int (1 lsl i)
-
-let quantile h q =
-  if h.hcount = 0 then 0.0
-  else begin
-    let pairs = Array.init hist_buckets (fun i -> (bucket_repr i, h.hbuckets.(i))) in
-    Float.min (Spr_util.Stats.quantile_counts pairs q) (float_of_int h.hmax)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Snapshots.                                                          *)
-
 type hist_data = { count : int; sum : int; max : int; buckets : int array }
 
 type datum = C of int | G of float | H of hist_data
 
 type snapshot = (string * datum) list
-
-let snapshot t =
-  Hashtbl.fold
-    (fun key i acc ->
-      let d =
-        match i with
-        | Counter c -> C c.c
-        | Gauge g -> G g.g
-        | Histogram h ->
-            H { count = h.hcount; sum = h.hsum; max = h.hmax; buckets = Array.copy h.hbuckets }
-      in
-      (key, d) :: acc)
-    t.tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 (* [diff later earlier]: counters and histogram counts subtract (a
    window of activity); gauges and histogram maxima keep the later
@@ -134,26 +49,18 @@ let diff later earlier =
       | d, _ -> (key, d))
     later
 
-let reset t =
-  Hashtbl.iter
-    (fun _ i ->
-      match i with
-      | Counter c -> c.c <- 0
-      | Gauge g -> g.g <- 0.0
-      | Histogram h ->
-          h.hcount <- 0;
-          h.hsum <- 0;
-          h.hmax <- 0;
-          Array.fill h.hbuckets 0 hist_buckets 0)
-    t.tbl
-
 (* ------------------------------------------------------------------ *)
 (* Renderers.                                                          *)
+
+(* Representative value of bucket [i] for quantile estimation: the
+   midpoint of [2^i, 2^(i+1)) — log-scale histograms only ever give
+   approximate quantiles. *)
+let bucket_repr i = if i = 0 then 1.0 else 1.5 *. float_of_int (1 lsl i)
 
 let hist_quantile_of_data (h : hist_data) q =
   if h.count = 0 then 0.0
   else begin
-    let pairs = Array.init hist_buckets (fun i -> (bucket_repr i, h.buckets.(i))) in
+    let pairs = Array.mapi (fun i n -> (bucket_repr i, n)) h.buckets in
     Float.min (Spr_util.Stats.quantile_counts pairs q) (float_of_int h.max)
   end
 
@@ -186,8 +93,6 @@ let pp_snapshot ppf (s : snapshot) =
               (hist_quantile_of_data h 0.99) h.max)
     s
 
-let pp ppf t = pp_snapshot ppf (snapshot t)
-
 let datum_to_json = function
   | C c -> Json.Int c
   | G g -> Json.Float g
@@ -203,5 +108,3 @@ let datum_to_json = function
         ]
 
 let snapshot_to_json (s : snapshot) = Json.Obj (List.map (fun (k, d) -> (k, datum_to_json d)) s)
-
-let to_json t = snapshot_to_json (snapshot t)

@@ -1,82 +1,43 @@
-(** Typed, hierarchical metrics: counters, gauges and log-scale
-    histograms keyed by ["subsystem/name"].
+(** Metric snapshots and their renderers.
 
-    Instruments are cheap mutable cells resolved once (by key) and then
-    bumped with a single store, so instrumented hot paths pay no
-    hashing.  A {!snapshot} freezes the registry into a sorted
-    association list that can be {!diff}ed against an earlier one —
-    the bench harness wraps each experiment this way.  Renders are
-    deterministic: keys sort lexicographically. *)
+    The instruments live in {!Sharded}; a {!Sharded.snapshot} freezes
+    a registry into the sorted association list below, which can be
+    {!diff}ed against an earlier one — the bench harness wraps each
+    experiment this way.  Renders are deterministic: keys sort
+    lexicographically. *)
 
-type t
-(** A registry. *)
+(** {1 The histogram bucket scheme}
 
-val create : unit -> t
+    Shared by the cells that fill it ({!Sharded.observe}) and the
+    renderers that read it (quantiles here, [le] bounds in {!Prom}). *)
 
-val default : t
-(** The process-wide registry (CLIs and the bench harness record here
-    when no explicit registry is given). *)
+val hist_buckets : int
+(** 62: enough for the whole OCaml int range. *)
 
-(** {1 Instruments} *)
-
-type counter
-
-type gauge
-
-type histogram
-
-val counter : t -> string -> counter
-(** Find or register the counter at [key].
-    @raise Invalid_argument if [key] names an instrument of another
-    kind. *)
-
-val gauge : t -> string -> gauge
-
-val histogram : t -> string -> histogram
-
-val add : counter -> int -> unit
-
-val incr : counter -> unit
-
-val set : gauge -> float -> unit
-
-val observe : histogram -> int -> unit
-(** Record one non-negative sample (negatives clamp to 0).  Buckets are
-    powers of two: bucket [i] counts samples with [floor (lg v) = i]. *)
-
-val quantile : histogram -> float -> float
-(** Approximate q-th quantile from the log-scale buckets (each bucket
-    answers with its midpoint, capped at the true maximum); 0 on an
-    empty histogram.  Built on {!Spr_util.Stats.quantile_counts}. *)
+val bucket_of : int -> int
+(** [floor (lg v)], with bucket 0 taking 0 and 1. *)
 
 (** {1 Snapshots} *)
 
 type hist_data = { count : int; sum : int; max : int; buckets : int array }
+(** A log-scale histogram: [buckets] has {!hist_buckets} entries,
+    entry [i] counting the samples [v] with [bucket_of v = i]. *)
 
 type datum = C of int | G of float | H of hist_data
 
 type snapshot = (string * datum) list
 (** Sorted by key. *)
 
-val snapshot : t -> snapshot
-
 val diff : snapshot -> snapshot -> snapshot
 (** [diff later earlier]: the activity window between two snapshots —
     counters and histogram counts subtract, gauges and histogram maxima
     keep the later value. *)
 
-val reset : t -> unit
-(** Zero every instrument (registrations are kept). *)
-
-(** {1 Renderers} *)
-
-val pp : Format.formatter -> t -> unit
-(** Pretty, grouped by subsystem; histograms show n/mean/p50/p90/p99/max. *)
-
 val pp_snapshot : Format.formatter -> snapshot -> unit
-
-val to_json : t -> Json.t
-(** Flat object keyed by full path: counters as numbers, gauges as
-    floats, histograms as [{count, sum, max, p50, p90, p99}]. *)
+(** Pretty, grouped by subsystem; histograms show n/mean/p50/p90/p99/max
+    (approximate quantiles: each bucket answers with its midpoint,
+    capped at the true maximum). *)
 
 val snapshot_to_json : snapshot -> Json.t
+(** Flat object keyed by full path: counters as numbers, gauges as
+    floats, histograms as [{count, sum, max, p50, p90, p99}]. *)

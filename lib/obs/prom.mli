@@ -1,5 +1,6 @@
-(** Prometheus text exposition (format 0.0.4) of {!Metrics}
-    snapshots — the scrape-side face of the observability layer.
+(** Prometheus text exposition (format 0.0.4) of registry snapshots
+    ({!Sharded.snapshot}) — the scrape-side face of the observability
+    layer.
 
     Keys map to metric names as [prefix ^ "_" ^ key] with every
     non-[[a-zA-Z0-9_]] byte replaced by ['_'] (so ["om/inserts"]

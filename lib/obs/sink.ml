@@ -1,10 +1,10 @@
 (* The instrumentation hook handed to the library layers.
 
-   A sink bundles an optional metrics registry, an optional flight
-   recorder (the one event ring) and the current (virtual time,
-   worker) context, which the scheduler updates as it steps so that
-   layers with no clock of their own (the OM structures, the race
-   detector) stamp their events correctly.
+   A sink bundles an optional metrics registry ([Sharded]), an
+   optional flight recorder (the one event ring) and the current
+   (virtual time, worker) context, which the scheduler updates as it
+   steps so that layers with no clock of their own (the OM
+   structures, the race detector) stamp their events correctly.
 
    [null] is the process-wide disabled sink: every path is
    instrumented against it by default and pays only a field load and
@@ -20,7 +20,7 @@
    allocation-free. *)
 
 type t = {
-  metrics : Metrics.t option;
+  metrics : Sharded.t option;
   flight : Flight.t option;
   mutable now : int;
   mutable wid : int;

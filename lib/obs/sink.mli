@@ -1,6 +1,6 @@
 (** Instrumentation sink threaded through the library layers.
 
-    Bundles an optional {!Metrics} registry, an optional {!Flight}
+    Bundles an optional {!Sharded} metrics registry, an optional {!Flight}
     recorder and the current (virtual time, worker id) context.  The
     scheduler owns the context: it calls {!set_context} as it steps so
     that clock-less layers (order maintenance, the race detector)
@@ -16,11 +16,11 @@ val null : t
 (** The disabled sink.  Shared and immutable: setters are no-ops on
     it. *)
 
-val make : ?metrics:Metrics.t -> ?flight:Flight.t -> unit -> t
+val make : ?metrics:Sharded.t -> ?flight:Flight.t -> unit -> t
 
 val is_null : t -> bool
 
-val metrics : t -> Metrics.t option
+val metrics : t -> Sharded.t option
 
 val set_context : t -> now:int -> wid:int -> unit
 

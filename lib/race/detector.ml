@@ -146,16 +146,16 @@ let run_thread t (u : Fj_program.thread) =
   (match Spr_obs.Sink.metrics t.sink with
   | None -> Array.iter (fun a -> access t ~current:u.Fj_program.tid a) u.Fj_program.accesses
   | Some m ->
-      let h = Spr_obs.Metrics.histogram m "race/queries_per_access" in
+      let h = Spr_obs.Sharded.histogram m "race/queries_per_access" in
       Array.iter
         (fun a ->
           let q0 = t.queries in
           access t ~current:u.Fj_program.tid a;
-          Spr_obs.Metrics.observe h (t.queries - q0))
+          Spr_obs.Sharded.observe h (t.queries - q0))
         u.Fj_program.accesses;
-      Spr_obs.Metrics.add (Spr_obs.Metrics.counter m "race/queries") (t.queries - before);
-      Spr_obs.Metrics.add
-        (Spr_obs.Metrics.counter m "race/accesses")
+      Spr_obs.Sharded.add (Spr_obs.Sharded.counter m "race/queries") (t.queries - before);
+      Spr_obs.Sharded.add
+        (Spr_obs.Sharded.counter m "race/accesses")
         (Array.length u.Fj_program.accesses));
   (* The event record would be constructed (allocated) before [emit]
      could ignore it, so skip explicitly when nothing is listening. *)

@@ -189,7 +189,7 @@ let record_metrics sink (r : result) =
   match Spr_obs.Sink.metrics sink with
   | None -> ()
   | Some m ->
-      let c key v = Spr_obs.Metrics.add (Spr_obs.Metrics.counter m key) v in
+      let c key v = Spr_obs.Sharded.add (Spr_obs.Sharded.counter m key) v in
       c "sched/steals" r.steals;
       c "sched/steal_attempts" r.steal_attempts;
       c "sched/steal_attempts_lock_held" r.steal_attempts_lock_held;
@@ -198,7 +198,7 @@ let record_metrics sink (r : result) =
       c "sched/steal_ticks" r.steal_ticks;
       c "sched/hook_ticks" r.hook_ticks;
       c "sched/frames" r.frames;
-      Spr_obs.Metrics.set (Spr_obs.Metrics.gauge m "sched/time") (float_of_int r.time)
+      Spr_obs.Sharded.set (Spr_obs.Sharded.gauge m "sched/time") (float_of_int r.time)
 
 let run ?(hooks = no_hooks) ?(sink = Spr_obs.Sink.null) ?(seed = 1) ?(max_ticks = max_int) ~procs
     program =

@@ -64,72 +64,65 @@ let json_parsing () =
     [ ""; "{"; "[1,"; "{\"a\":}"; "nul"; "1 2"; "\"unterminated"; "{\"a\" 1}" ]
 
 (* ------------------------------------------------------------------ *)
-(* Metrics                                                             *)
+(* Metrics: the registry's instruments, snapshots and renderers        *)
 
 let metrics_instruments () =
-  let m = Metrics.create () in
-  let c = Metrics.counter m "a/c" in
-  Metrics.incr c;
-  Metrics.add c 4;
-  let g = Metrics.gauge m "a/g" in
-  Metrics.set g 2.5;
-  let h = Metrics.histogram m "a/h" in
-  List.iter (Metrics.observe h) [ 1; 2; 4; 100 ];
-  (match Metrics.snapshot m with
+  let m = Sharded.create () in
+  let c = Sharded.counter m "a/c" in
+  Sharded.incr c;
+  Sharded.add c 4;
+  let g = Sharded.gauge m "a/g" in
+  Sharded.set g 2.5;
+  let h = Sharded.histogram m "a/h" in
+  List.iter (Sharded.observe h) [ 1; 2; 4; 100 ];
+  (match Sharded.snapshot m with
   | [ ("a/c", Metrics.C 5); ("a/g", Metrics.G 2.5); ("a/h", Metrics.H hd) ] ->
       Alcotest.(check int) "hist count" 4 hd.Metrics.count;
       Alcotest.(check int) "hist sum" 107 hd.Metrics.sum;
       Alcotest.(check int) "hist max" 100 hd.Metrics.max
   | _ -> Alcotest.fail "unexpected snapshot shape (should be sorted by key)");
-  (* Re-registering by key returns the same cell. *)
-  Metrics.incr (Metrics.counter m "a/c");
-  (match Metrics.snapshot m with
-  | ("a/c", Metrics.C 6) :: _ -> ()
-  | _ -> Alcotest.fail "counter lookup did not find the existing cell");
-  (* A key cannot change kind. *)
-  Alcotest.(check bool) "kind clash rejected" true
-    (try
-       ignore (Metrics.gauge m "a/c");
-       false
-     with Invalid_argument _ -> true)
+  (* find-or-register returns the same cell; bumps accumulate. *)
+  Sharded.incr (Sharded.counter m "a/c");
+  Alcotest.(check int) "accumulated" 6 (Sharded.read (Sharded.counter m "a/c"))
 
-let metrics_snapshot_diff_reset () =
-  let m = Metrics.create () in
-  let c = Metrics.counter m "x/c" in
-  let h = Metrics.histogram m "x/h" in
-  Metrics.add c 10;
-  Metrics.observe h 8;
-  let before = Metrics.snapshot m in
-  Metrics.add c 7;
-  Metrics.observe h 32;
-  let after = Metrics.snapshot m in
+let registry_snapshot_diff_reset () =
+  let m = Sharded.create () in
+  let c = Sharded.counter m "x/c" in
+  let h = Sharded.histogram m "x/h" in
+  Sharded.add c 10;
+  Sharded.observe h 8;
+  let before = Sharded.snapshot m in
+  Sharded.add c 7;
+  Sharded.observe h 32;
+  let after = Sharded.snapshot m in
   (match Metrics.diff after before with
   | [ ("x/c", Metrics.C 7); ("x/h", Metrics.H hd) ] ->
       Alcotest.(check int) "window count" 1 hd.Metrics.count;
-      Alcotest.(check int) "window sum" 32 hd.Metrics.sum
+      Alcotest.(check int) "window sum" 32 hd.Metrics.sum;
+      Alcotest.(check int) "window max keeps the later" 32 hd.Metrics.max;
+      Alcotest.(check int) "earlier bucket cancels" 0 hd.Metrics.buckets.(3);
+      Alcotest.(check int) "window bucket" 1 hd.Metrics.buckets.(5)
   | _ -> Alcotest.fail "diff shape");
-  Metrics.reset m;
-  match Metrics.snapshot m with
-  | [ ("x/c", Metrics.C 0); ("x/h", Metrics.H hd) ] ->
-      Alcotest.(check int) "reset count" 0 hd.Metrics.count
-  | _ -> Alcotest.fail "reset should keep registrations and zero values"
+  (* Reset is a fresh registry: the same names start from zero. *)
+  let fresh = Sharded.create () in
+  Sharded.incr (Sharded.counter fresh "x/c");
+  ignore (Sharded.histogram fresh "x/h");
+  match Sharded.snapshot fresh with
+  | [ ("x/c", Metrics.C 1); ("x/h", Metrics.H hd) ] ->
+      Alcotest.(check int) "fresh count" 0 hd.Metrics.count
+  | _ -> Alcotest.fail "a fresh registry should not see the old cells"
 
 let metrics_json_and_quantiles () =
-  let m = Metrics.create () in
-  Metrics.add (Metrics.counter m "s/c") 3;
-  let h = Metrics.histogram m "s/h" in
+  let m = Sharded.create () in
+  Sharded.add (Sharded.counter m "s/c") 3;
+  let h = Sharded.histogram m "s/h" in
   for _ = 1 to 90 do
-    Metrics.observe h 1
+    Sharded.observe h 1
   done;
   for _ = 1 to 10 do
-    Metrics.observe h 1000
+    Sharded.observe h 1000
   done;
-  (* Log-bucketed approximation: p50 lands in the 1-bucket, p99 in the
-     1000-bucket (whose answer is capped at the observed max). *)
-  Alcotest.(check (float 1e-9)) "p50" 1.0 (Metrics.quantile h 0.5);
-  Alcotest.(check bool) "p99 in the top bucket" true (Metrics.quantile h 0.99 > 500.0);
-  Alcotest.(check bool) "p99 capped at max" true (Metrics.quantile h 0.99 <= 1000.0);
-  let j = Metrics.to_json m in
+  let j = Metrics.snapshot_to_json (Sharded.snapshot m) in
   Alcotest.(check bool) "counter field" true (Json.member "s/c" j = Some (Json.Int 3));
   match Json.member "s/h" j with
   | Some hist ->
@@ -138,7 +131,13 @@ let metrics_json_and_quantiles () =
       List.iter
         (fun k ->
           Alcotest.(check bool) (k ^ " present") true (Json.member k hist <> None))
-        [ "sum"; "max"; "p50"; "p90"; "p99" ]
+        [ "sum"; "max"; "p50"; "p90"; "p99" ];
+      (* Log-bucketed approximation: p50 lands in the 1-bucket, p99 in
+         the 1000-bucket (whose answer is capped at the observed max). *)
+      let q k = match Json.member k hist with Some (Json.Float f) -> f | _ -> nan in
+      Alcotest.(check (float 1e-9)) "p50" 1.0 (q "p50");
+      Alcotest.(check bool) "p99 in the top bucket" true (q "p99" > 500.0);
+      Alcotest.(check bool) "p99 capped at max" true (q "p99" <= 1000.0)
   | None -> Alcotest.fail "histogram missing from JSON"
 
 (* ------------------------------------------------------------------ *)
@@ -222,10 +221,12 @@ let sink_plumbing () =
   Sink.emit Sink.null (Trace.Sync { frame = 0 });
   Alcotest.(check int) "null clock untouched" 0 (Sink.now Sink.null);
   let f = Flight.create ~lanes:3 () in
-  let m = Metrics.create () in
+  let m = Sharded.create () in
   let s = Sink.make ~metrics:m ~flight:f () in
   Alcotest.(check bool) "live sink" false (Sink.is_null s);
-  Alcotest.(check bool) "metrics exposed" true (Sink.metrics s = Some m);
+  Alcotest.(check bool)
+    "metrics exposed" true
+    (match Sink.metrics s with Some m' -> m' == m | None -> false);
   Sink.set_context s ~now:42 ~wid:2;
   Sink.emit s (Trace.Sync { frame = 1 });
   Sink.emit_om_relabel s ~om:"eng" ~moved:3;
@@ -243,27 +244,7 @@ let sink_plumbing () =
   | _ -> Alcotest.fail "expected exactly two events in lane 2"
 
 (* ------------------------------------------------------------------ *)
-(* Sharded counters: exact totals, single-domain parity                *)
-
-let sharded_parity () =
-  (* A sharded registry's snapshot is bit-identical to a serial Metrics
-     registry fed the same bumps from one domain. *)
-  let s = Sharded.create () in
-  let m = Metrics.create () in
-  let pairs =
-    [ ("om/inserts", 17); ("om/relabels", 0); ("runtime/steals", 123456789) ]
-  in
-  List.iter
-    (fun (k, n) ->
-      Sharded.add (Sharded.counter s k) n;
-      Metrics.add (Metrics.counter m k) n)
-    pairs;
-  Alcotest.(check bool)
-    "snapshots bit-identical" true
-    (Sharded.metrics_snapshot s = Metrics.snapshot m);
-  (* find-or-register returns the same cell; bumps accumulate. *)
-  Sharded.incr (Sharded.counter s "om/inserts");
-  Alcotest.(check int) "accumulated" 18 (Sharded.read (Sharded.counter s "om/inserts"))
+(* Sharded cells: exact cross-domain totals, gauges, kinds             *)
 
 let sharded_domains () =
   (* 8 domains bump one counter concurrently with no synchronization on
@@ -281,6 +262,81 @@ let sharded_domains () =
   Array.iter Domain.join domains;
   let expect = (n_domains * per) + (n_domains * (n_domains - 1) / 2) in
   Alcotest.(check int) "exact cross-domain total" expect (Sharded.read c)
+
+(* floor (lg v), bucket 0 taking 0 and 1: the model the histogram's
+   buckets are checked against. *)
+let rec lg v = if v <= 1 then 0 else 1 + lg (v lsr 1)
+
+let sharded_histogram_domains () =
+  (* Each domain observes its own known multiset; after join the
+     snapshot's count, sum and every bucket are the exact totals and
+     max is the global max, whichever domain saw it. *)
+  let s = Sharded.create () in
+  let h = Sharded.histogram s "test/hist" in
+  let n_domains = 4 in
+  let samples d =
+    -5 :: 0 :: 1 :: (1 lsl (40 + d))
+    :: List.init 5_000 (fun i -> i * (d + 3) * 7919 mod (1 lsl (4 * (d + 1))))
+  in
+  let domains =
+    Array.init n_domains (fun d ->
+        Domain.spawn (fun () -> List.iter (Sharded.observe h) (samples d)))
+  in
+  Array.iter Domain.join domains;
+  let all =
+    List.concat_map (fun d -> List.map (max 0) (samples d)) (List.init n_domains Fun.id)
+  in
+  let buckets = Array.make 62 0 in
+  List.iter (fun v -> buckets.(lg v) <- buckets.(lg v) + 1) all;
+  match Sharded.snapshot s with
+  | [ ("test/hist", Metrics.H hd) ] ->
+      Alcotest.(check int) "count" (List.length all) hd.Metrics.count;
+      Alcotest.(check int) "sum" (List.fold_left ( + ) 0 all) hd.Metrics.sum;
+      Alcotest.(check int) "global max" (1 lsl (40 + n_domains - 1)) hd.Metrics.max;
+      Alcotest.(check (array int)) "buckets" buckets hd.Metrics.buckets
+  | _ -> Alcotest.fail "expected one histogram"
+
+let sharded_gauge () =
+  let s = Sharded.create () in
+  let g = Sharded.gauge s "test/g" in
+  List.iter (Sharded.set g) [ 1.0; 3.5; 2.0 ];
+  Alcotest.(check bool)
+    "last write wins" true
+    (Sharded.snapshot s = [ ("test/g", Metrics.G 2.0) ]);
+  Sharded.set (Sharded.gauge s "test/g") 7.25;
+  Alcotest.(check bool)
+    "same cell by name" true
+    (Sharded.snapshot s = [ ("test/g", Metrics.G 7.25) ]);
+  let fresh = Sharded.create () in
+  ignore (Sharded.gauge fresh "test/g");
+  Alcotest.(check bool) "fresh registry reads 0" true
+    (Sharded.snapshot fresh = [ ("test/g", Metrics.G 0.0) ])
+
+let sharded_kind_clash () =
+  (* A name keeps the kind it was registered with; asking for it as
+     another kind raises, asking for the same kind finds it. *)
+  let register s name = function
+    | `Counter -> ignore (Sharded.counter s name)
+    | `Gauge -> ignore (Sharded.gauge s name)
+    | `Histogram -> ignore (Sharded.histogram s name)
+  in
+  let kinds = [ `Counter; `Gauge; `Histogram ] in
+  let s = Sharded.create () in
+  List.iteri
+    (fun i first ->
+      let name = Printf.sprintf "k/%d" i in
+      register s name first;
+      List.iter
+        (fun again ->
+          let raised =
+            try
+              register s name again;
+              false
+            with Invalid_argument _ -> true
+          in
+          Alcotest.(check bool) name (again <> first) raised)
+        kinds)
+    kinds
 
 (* ------------------------------------------------------------------ *)
 (* Probes: uninstalled passthrough, span accounting, alloc_words       *)
@@ -478,11 +534,11 @@ let flight_concurrent_lanes =
 (* Prometheus text exposition                                          *)
 
 let prom_render () =
-  let m = Metrics.create () in
-  Metrics.add (Metrics.counter m "om/inserts") 42;
-  Metrics.set (Metrics.gauge m "sched/time") 17.0;
-  let h = Metrics.histogram m "race/queries_per_access" in
-  List.iter (Metrics.observe h) [ 0; 1; 2; 3; 9 ];
+  let m = Sharded.create () in
+  Sharded.add (Sharded.counter m "om/inserts") 42;
+  Sharded.set (Sharded.gauge m "sched/time") 17.0;
+  let h = Sharded.histogram m "race/queries_per_access" in
+  List.iter (Sharded.observe h) [ 0; 1; 2; 3; 9 ];
   Alcotest.(check string) "pinned exposition"
     "# TYPE spr_om_inserts counter\n\
      spr_om_inserts 42\n\
@@ -496,7 +552,7 @@ let prom_render () =
      spr_race_queries_per_access_count 5\n\
      # TYPE spr_sched_time gauge\n\
      spr_sched_time 17\n"
-    (Prom.render (Metrics.snapshot m));
+    (Prom.render (Sharded.snapshot m));
   Alcotest.(check string) "sanitize" "x_om_2level_q" (Prom.sanitize ~prefix:"x" "om/2level.q")
 
 (* ------------------------------------------------------------------ *)
@@ -505,7 +561,7 @@ let prom_render () =
 let end_to_end () =
   let procs = 4 in
   let flight = Flight.create ~lanes:procs ~capacity:4096 () in
-  let m = Metrics.create () in
+  let m = Sharded.create () in
   let sink = Sink.make ~metrics:m ~flight () in
   let p = Spr_workloads.Progs.fib ~n:8 ~cost:3 () in
   let h = Spr_hybrid.Sp_hybrid.create ~sink p in
@@ -522,7 +578,7 @@ let end_to_end () =
   (* Counters agree with the simulator's own accounting, and Theorem
      2's trace structure shows as steals == splits. *)
   let counter key =
-    match List.assoc_opt key (Metrics.snapshot m) with
+    match List.assoc_opt key (Sharded.snapshot m) with
     | Some (Metrics.C n) -> n
     | _ -> Alcotest.failf "missing counter %s" key
   in
@@ -546,7 +602,7 @@ let () =
       ( "metrics",
         [
           Alcotest.test_case "instruments" `Quick metrics_instruments;
-          Alcotest.test_case "snapshot/diff/reset" `Quick metrics_snapshot_diff_reset;
+          Alcotest.test_case "snapshot/diff/reset" `Quick registry_snapshot_diff_reset;
           Alcotest.test_case "json + quantiles" `Quick metrics_json_and_quantiles;
         ] );
       ( "trace",
@@ -557,8 +613,10 @@ let () =
       ("sink", [ Alcotest.test_case "plumbing" `Quick sink_plumbing ]);
       ( "sharded",
         [
-          Alcotest.test_case "single-domain parity" `Quick sharded_parity;
           Alcotest.test_case "8-domain exact totals" `Quick sharded_domains;
+          Alcotest.test_case "4-domain histogram totals" `Quick sharded_histogram_domains;
+          Alcotest.test_case "gauge last write" `Quick sharded_gauge;
+          Alcotest.test_case "kind clash" `Quick sharded_kind_clash;
         ] );
       ( "probe",
         [
